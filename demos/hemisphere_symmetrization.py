@@ -41,7 +41,7 @@ print("solve on mu0: converged=%s, residual_l1=%.2e"
 walls = -cone
 K = wulff_shape(2, np.vstack([M.normals, walls]),
                 np.concatenate([M.support_values, np.zeros(len(walls))]))
-restricted = np.array([m for _, m in lp_surface_area_measure(K, 0.5)])
+restricted = lp_surface_area_measure(K, 0.5)
 l1 = np.abs(restricted[:len(grid)] - mu.masses).sum() / mu.total_mass
 print("restricted body matches the original arc measure: l1 = %.2e" % l1)
 print("wall facets carry Lp mass %.2e (supports vanish there)"

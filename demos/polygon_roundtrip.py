@@ -23,14 +23,12 @@ print("generator polygon: volume %.4f, %d active facets"
       % (polygon.volume, int(np.sum(polygon.facet_areas > 0))))
 
 p = -1.0
-atoms = lp_surface_area_measure(polygon, p)
-raw_dirs = np.array([u for u, _ in atoms])
-raw_mass = np.array([m for _, m in atoms])
+raw_mass = lp_surface_area_measure(polygon, p)
 print("raw Lp measure: total mass %.4f on %d atoms"
       % (raw_mass.sum(), len(raw_mass)))
 
 grid = build_grid(2, 256)
-mu = smooth_discrete(raw_dirs, raw_mass, grid, m=32)
+mu = smooth_discrete(polygon.normals, raw_mass, grid, m=32)
 print("smoothed: total %.4f, density in [%.2e, %.2e]"
       % (mu.total_mass, *mu.density_bounds))
 

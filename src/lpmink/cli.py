@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from lpmink.energy import CenterError
-from lpmink.geometry import GeometryError, body_to_off, wulff_shape
+from lpmink.geometry import (GeometryError, body_to_off, lp_surface_area_measure,
+                             wulff_shape)
 from lpmink.identities import IdentityError, ellipsoid_model, fp_identity_matrix
 from lpmink.measures import (HypothesisError, MeasureError, SphericalMeasure,
                              density_measure, positive_hull_check, smooth_discrete,
@@ -175,15 +176,13 @@ def _dump_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _dump_residuals_csv(path, table):
+def _dump_residuals_csv(path, nodes, mu, sp):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "normal", "mu", "sp", "diff"])
-        for row in table:
-            writer.writerow([row["index"],
-                             " ".join("%.17g" % x for x in row["normal"]),
-                             "%.17g" % row["mu"], "%.17g" % row["sp"],
-                             "%.17g" % row["diff"]])
+        for i, (u, m, s) in enumerate(zip(nodes, mu, sp)):
+            writer.writerow([i, " ".join("%.17g" % x for x in u),
+                             "%.17g" % m, "%.17g" % s, "%.17g" % (s - m)])
 
 
 def _solve_options(cfg):
@@ -212,11 +211,12 @@ def cmd_solve(cfg, outdir):
         _dump_json(outdir / "report.json",
                    {"command": "solve", "error": str(exc), "seed": cfg.get("seed", 0)})
         return EXIT_NONCONVERGED
-    res_l1, res_linf, table = verify(M, measure, p)
     payload = report.to_dict()
     payload.update({"command": "solve", "n": n, "seed": cfg.get("seed", 0)})
     _dump_json(outdir / "report.json", payload)
-    _dump_residuals_csv(outdir / "residuals.csv", table)
+    # solve() verified M, which is index-aligned with the grid
+    _dump_residuals_csv(outdir / "residuals.csv", grid.nodes, measure.masses,
+                        lp_surface_area_measure(M, p))
     _dump_json(outdir / "body.json", M.to_dict())
     if n == 3:
         (outdir / "body.off").write_text(body_to_off(M))
@@ -234,11 +234,11 @@ def cmd_verify(cfg, outdir):
                        np.asarray(data["offsets"], dtype=float))
     grid = build_problem_grid(cfg, n)
     measure = build_problem_measure(cfg, grid)
-    res_l1, res_linf, table = verify(body, measure, p)
+    res_l1, res_linf, sp = verify(body, measure, p)
     _dump_json(outdir / "report.json",
                {"command": "verify", "residual_l1": res_l1,
                 "residual_linf": res_linf, "seed": cfg.get("seed", 0)})
-    _dump_residuals_csv(outdir / "residuals.csv", table)
+    _dump_residuals_csv(outdir / "residuals.csv", grid.nodes, measure.masses, sp)
     return EXIT_OK
 
 

@@ -152,13 +152,6 @@ class EnergyProfile:
             lambda s: _d2phi_raw(self.p, s),
             [lambda c, s: c.der2(s)] * len(self.pieces))
 
-    def phi_base(self, t):
-        """The unmodified phi(t) = t^p / log t / -t^p."""
-        return _phi_raw(self.p, np.asarray(t, dtype=float))
-
-    def dphi_base(self, t):
-        return _dphi_raw(self.p, np.asarray(t, dtype=float))
-
     def to_dict(self):
         return {
             "p": self.p,

@@ -1,15 +1,18 @@
 """Computational convex geometry for halfspace-intersection bodies.
 
 Bodies are built as Wulff shapes (intersections of halfspaces <x,u_i> <= h_i)
-in dimension 2 or 3. Vertex enumeration goes through polarity: translate by
-the Chebyshev center, dualize, take the convex hull of the dual points, and
-read the primal vertices off the dual facets. Facet areas, volume, centroid
-and support values are derived from the enumerated vertices.
+in dimension 2 or 3 by polarity: translate by an interior point (the
+Chebyshev center unless a hint is feasible), dualize, and take one convex
+hull of the dual points. That hull holds the whole body: each dual facet is
+a vertex, each dual hull vertex is an active constraint (a facet), and
+neighbouring dual facets span the edges. Facet areas, volume and centroid
+are read off this structure; active constraints keep their offsets as
+support values.
 """
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from lpmink.sphere import unit_ball_volume
 
@@ -20,10 +23,6 @@ class GeometryError(ValueError):
 
 class WulffError(GeometryError):
     """Unbounded, empty, or numerically degenerate halfspace intersection."""
-
-
-#: relative tolerance for merging duplicate vertices from coplanar dual facets
-VERTEX_MERGE_TOL = 1e-9
 
 
 def chebyshev_center(normals, offsets):
@@ -53,70 +52,69 @@ def chebyshev_center(normals, offsets):
     return center, float(radius)
 
 
-def _dedup_points(points, tol):
-    """Merge points closer than tol, keeping first occurrences."""
-    tree = cKDTree(points)
-    keep = np.ones(len(points), dtype=bool)
-    for i, j in tree.query_pairs(r=tol):
-        keep[max(i, j)] = False
-    return points[keep]
+def _polygon_from_dual(normals, shifted, dual_hull):
+    """Vertices, edge lengths, area and centroid of a polygon, from its dual.
 
-
-def _polygon_properties(vertices):
-    """Area, centroid and CCW-ordered vertices of a planar convex polygon."""
-    center = vertices.mean(axis=0)
-    order = np.argsort(np.arctan2(vertices[:, 1] - center[1], vertices[:, 0] - center[0]))
-    v = vertices[order]
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
+    The dual hull's vertices are the active lines in counter-clockwise
+    order; each consecutive pair meets in a vertex. Coordinates are relative
+    to the interior point the dual was taken about.
+    """
+    a = dual_hull.vertices
+    b = np.roll(a, -1)
+    ua, ub, sa, sb = normals[a], normals[b], shifted[a], shifted[b]
+    det = ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0]
+    vertices = np.column_stack([sa * ub[:, 1] - sb * ua[:, 1],
+                                sb * ua[:, 0] - sa * ub[:, 0]]) / det[:, None]
+    # the edge on line a[j] runs from vertex j-1 to vertex j
+    prev = np.roll(vertices, 1, axis=0)
+    cross = prev[:, 0] * vertices[:, 1] - vertices[:, 0] * prev[:, 1]
     area = 0.5 * cross.sum()
     if area <= 0:
         raise WulffError("degenerate polygon (nonpositive area)")
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cy = ((y + yn) * cross).sum() / (6.0 * area)
-    return area, np.array([cx, cy]), v
+    centroid = cross @ (prev + vertices) / (6.0 * area)
+    facet_areas = np.zeros(len(normals))
+    facet_areas[a] = np.hypot(*(vertices - prev).T)
+    return vertices, facet_areas, area, centroid
 
 
-def _match_facets_2d(vertices_ccw, normals):
-    """Accumulate polygon edge lengths onto the input normals.
+def _facet_sums(facet, values, m):
+    """Per-facet sums of the rows of values, for facet ids in range(m)."""
+    return np.stack([np.bincount(facet, col, minlength=m) for col in values.T], axis=1)
 
-    Hull facets match their input normal to machine precision for planar
-    facets; a facet whose constraints were merged as coplanar goes to the
-    first (lowest-index) nearest normal, which `argmax` provides.
+
+def _polytope_from_dual(shifted, dual_hull):
+    """Vertices, facet areas, volume and centroid of a polytope, from its dual.
+
+    Each dual triangle is a vertex; Qhull's triangulated output ('Qt') gives
+    every triangle cut from one dual facet the same hyperplane bit for bit,
+    so equal hyperplanes are one vertex. Neighbouring triangles with distinct
+    vertices span an edge, which lies on the two facets at the shared dual
+    edge. Coordinates are relative to the interior point the dual was taken
+    about.
     """
-    edges = np.roll(vertices_ccw, -1, axis=0) - vertices_ccw
-    lengths = np.linalg.norm(edges, axis=1)
-    ok = lengths > 0
-    outward = np.column_stack([edges[ok, 1], -edges[ok, 0]]) / lengths[ok, None]
-    match = np.argmax(outward @ normals.T, axis=1)
-    areas = np.zeros(len(normals))
-    np.add.at(areas, match, lengths[ok])
-    return areas
-
-
-def _match_facets_3d(vertices, normals):
-    """Hull the primal vertices; accumulate triangle areas onto input normals.
-
-    Returns (facet_areas, volume, centroid, hull).
-    """
-    hull = ConvexHull(vertices)
-    tri = vertices[hull.simplices]
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    cross = np.cross(b - a, c - a)
-    tri_areas = 0.5 * np.linalg.norm(cross, axis=1)
-    tri_normals = hull.equations[:, :3]
-    match = np.argmax(tri_normals @ normals.T, axis=1)
-    areas = np.zeros(len(normals))
-    np.add.at(areas, match[tri_areas > 0], tri_areas[tri_areas > 0])
-    # centroid from tetra fan with apex at the vertex mean, each tetra signed
-    # consistently with the outward facet normal
-    ref = vertices.mean(axis=0)
-    sign = np.where(np.einsum("ij,ij->i", cross, tri_normals) >= 0, 1.0, -1.0)
-    tets = sign * np.einsum("ij,ij->i", a - ref, np.cross(b - ref, c - ref)) / 6.0
-    cent = ((a + b + c + ref) / 4.0 * tets[:, None]).sum(axis=0)
-    vol = hull.volume
-    return areas, vol, cent / vol, hull
+    tri, m = dual_hull.simplices, len(shifted)
+    planes, vid = np.unique(dual_hull.equations, axis=0, return_inverse=True)
+    vertices = planes[:, :3] / -planes[:, 3:]
+    f = np.repeat(np.arange(len(tri)), 3)
+    k = np.tile(np.arange(3), len(tri))
+    g = dual_hull.neighbors.ravel()
+    edge = (f < g) & (vid[f] != vid[g])
+    f, g, k = f[edge], g[edge], k[edge]
+    facet = np.concatenate([tri[f, (k + 1) % 3], tri[f, (k + 2) % 3]])
+    a, b = np.tile(vid[f], 2), np.tile(vid[g], 2)
+    # fan each facet about its vertex mean (every vertex ends two of its edges)
+    ends = vertices[a] + vertices[b]
+    mean = _facet_sums(facet, ends, m)[facet] / (2.0 * np.bincount(facet)[facet, None])
+    fan = 0.5 * np.linalg.norm(np.cross(vertices[a] - mean, vertices[b] - mean), axis=1)
+    facet_areas = np.bincount(facet, fan, minlength=m)
+    moments = _facet_sums(facet, fan[:, None] * (ends + mean) / 3.0, m)
+    # the cone over facet i has volume s_i S_i / 3 and its centroid 3/4 of
+    # the way from the apex to the facet centroid
+    volume = float(shifted @ facet_areas) / 3.0
+    if volume <= 0:
+        raise WulffError("degenerate polytope (nonpositive volume)")
+    centroid = 0.25 * (shifted @ moments) / volume
+    return vertices, facet_areas, volume, centroid
 
 
 class Body:
@@ -257,38 +255,33 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     if center is None:
         center, radius = chebyshev_center(normals, offsets)
     shifted = offsets - normals @ center  # all >= radius > 0
-    dual_points = normals / shifted[:, None]
     try:
-        dual_hull = ConvexHull(dual_points)
+        dual_hull = ConvexHull(normals / shifted[:, None])
     except QhullError as exc:
         raise WulffError("degenerate dual hull: %s" % exc) from exc
 
     # origin must be interior to the dual hull, else the primal is unbounded
-    dual_offsets = dual_hull.equations[:, -1]
-    if np.max(dual_offsets) > -1e-12:
+    if np.max(dual_hull.equations[:, -1]) > -1e-12:
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
-    # each dual facet {<a,y> = -b} is a primal vertex a / (-b)
-    raw_vertices = dual_hull.equations[:, :-1] / (-dual_offsets[:, None])
-    scale = max(1.0, float(np.max(np.abs(raw_vertices))))
-    vertices = _dedup_points(raw_vertices, VERTEX_MERGE_TOL * scale) + center
-
     if dim == 2:
-        if len(vertices) < 3:
-            raise WulffError("degenerate intersection (fewer than 3 vertices)")
-        volume, centroid, ccw = _polygon_properties(vertices)
-        facet_areas = _match_facets_2d(ccw, normals)
+        vertices, facet_areas, volume, centroid = _polygon_from_dual(
+            normals, shifted, dual_hull)
     else:
-        if len(vertices) < 4:
-            raise WulffError("degenerate intersection (fewer than 4 vertices)")
-        try:
-            facet_areas, volume, centroid, _ = _match_facets_3d(vertices, normals)
-        except QhullError as exc:
-            raise WulffError("degenerate primal hull: %s" % exc) from exc
-
-    support_values = np.max(vertices @ normals.T, axis=0)
+        vertices, facet_areas, volume, centroid = _polytope_from_dual(
+            shifted, dual_hull)
+    if len(vertices) <= dim:
+        raise WulffError("degenerate intersection (fewer than %d vertices)"
+                         % (dim + 1))
+    vertices = vertices + center
+    # an active constraint's facet lies in its plane
+    support_values = offsets.copy()
+    inactive = np.ones(len(normals), dtype=bool)
+    inactive[dual_hull.vertices] = False
+    support_values[inactive] = np.max(vertices @ normals[inactive].T, axis=0)
     return Body(dim, normals, offsets.copy(), vertices, facet_areas,
-                float(volume), centroid, support_values, validate=validate)
+                float(volume), centroid + center, support_values,
+                validate=validate)
 
 
 def support(body, u):
@@ -296,17 +289,12 @@ def support(body, u):
     return body.support(u)
 
 
-def surface_area_measure(body):
-    """Per-normal facet (n-1)-areas, zero entries retained."""
-    return [(body.normals[i].copy(), float(body.facet_areas[i]))
-            for i in range(len(body.normals))]
-
-
 def lp_surface_area_measure(body, p):
     """Masses h(u_i)^(1-p) * S_i of the Lp surface area measure.
 
-    Requires p < 1 and the origin inside the closed body; a facet with zero
-    support carries zero mass (the exponent 1-p is positive).
+    Returns an (m,) array aligned with body.normals. Requires p < 1 and the
+    origin inside the closed body; a facet with zero support carries zero
+    mass (the exponent 1-p is positive).
     """
     if p >= 1:
         raise GeometryError("lp_surface_area_measure requires p < 1")
@@ -314,15 +302,7 @@ def lp_surface_area_measure(body, p):
     if np.min(h) < -1e-10 * max(1.0, float(np.max(np.abs(h)))):
         raise GeometryError("origin lies strictly outside the body")
     hc = np.maximum(h, 0.0)
-    masses = np.where(body.facet_areas > 0.0,
-                      hc ** (1.0 - p) * body.facet_areas, 0.0)
-    return [(body.normals[i].copy(), float(masses[i]))
-            for i in range(len(body.normals))]
-
-
-def lp_masses(body, p):
-    """Array view of lp_surface_area_measure, aligned with body.normals."""
-    return np.array([m for _, m in lp_surface_area_measure(body, p)])
+    return np.where(body.facet_areas > 0.0, hc ** (1.0 - p) * body.facet_areas, 0.0)
 
 
 def body_stats(body):

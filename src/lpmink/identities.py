@@ -100,11 +100,6 @@ class SmoothBody:
         """Gauss curvature at the boundary point with outer normal u."""
         return 1.0 / self.ftilde(u)
 
-    def centro_affine_curvature(self, u):
-        """kappa_0 = kappa / h^(n+1); an SL(n)-invariant of centered bodies."""
-        u = np.asarray(u, dtype=float)
-        return self.kappa(u) / self.h(u) ** (self.dim + 1)
-
     def f_p(self, xi, p):
         """f_p = h^(1-p) f_tilde, the Lp density as a (-n-p)-homogeneous map."""
         return self.h(xi) ** (1.0 - p) * self.ftilde(xi)

@@ -299,17 +299,16 @@ def solve(measure, p, opts=None):
 def verify(M, measure, p):
     """Compare the Lp surface area measure of M with mu atom-by-atom.
 
-    Returns (residual_l1, residual_linf, table) with
+    Returns (residual_l1, residual_linf, sp) with
 
         residual_l1  = sum_i |S_{M,p}(u_i) - mu_i| / mu(S^{n-1})
         residual_linf = max_i |S_{M,p}(u_i) - mu_i| / max_i mu_i
 
-    and a per-direction table of rows (node index, normal, mu_i, S_{M,p}_i,
-    difference). Bodies whose normals are not index-aligned with the grid
-    are matched to nearest grid nodes.
+    and sp the (N,) array of S_{M,p} on the grid nodes. Bodies whose normals
+    are not index-aligned with the grid are matched to nearest grid nodes.
     """
     nodes = measure.grid.nodes
-    masses_body = np.array([m for _, m in lp_surface_area_measure(M, p)])
+    masses_body = lp_surface_area_measure(M, p)
     if len(M.normals) == len(nodes) and np.array_equal(M.normals, nodes):
         sp = masses_body
     else:
@@ -322,10 +321,4 @@ def verify(M, measure, p):
     total = measure.total_mass
     res_l1 = float(np.abs(diff).sum() / total)
     res_linf = float(np.abs(diff).max() / measure.masses.max())
-    table = [
-        {"index": int(i), "normal": nodes[i].tolist(),
-         "mu": float(measure.masses[i]), "sp": float(sp[i]),
-         "diff": float(diff[i])}
-        for i in range(len(nodes))
-    ]
-    return res_l1, res_linf, table
+    return res_l1, res_linf, sp

@@ -84,9 +84,7 @@ def test_criterion_03_roundtrip_measure_fidelity():
     for trial in range(5):
         poly = random_polygon(rng, k=12)
         for p in (0.5, -1.0):
-            atoms = lp_surface_area_measure(poly, p)
-            mu = smooth_discrete(np.array([u for u, _ in atoms]),
-                                 np.array([m for _, m in atoms]),
+            mu = smooth_discrete(poly.normals, lp_surface_area_measure(poly, p),
                                  grid, m=32)
             M, rep = solve(mu, p)
             worst = max(worst, rep.residual_l1)
@@ -152,7 +150,7 @@ def test_criterion_05_inequality_suite():
         assert santalo_quadrature(body, grid) <= 1.02 * kappa[n] ** 2 / body.volume
         # inradius bound for the Lp surface area, exact
         for p in (0.5, 0.0, -1.0):
-            total = sum(m for _, m in lp_surface_area_measure(body, p))
+            total = lp_surface_area_measure(body, p).sum()
             assert total >= kappa[n - 1] * rho ** (n - p) * (1 - 1e-9)
         # centroid reflection at 64 sampled points
         pts = body.vertices
@@ -210,7 +208,7 @@ def test_criterion_07_hemisphere_pipeline():
     walls = -cone
     K = wulff_shape(2, np.vstack([M.normals, walls]),
                     np.concatenate([M.support_values, np.zeros(len(walls))]))
-    restricted = np.array([m for _, m in lp_surface_area_measure(K, 0.5)])
+    restricted = lp_surface_area_measure(K, 0.5)
     l1 = float(np.abs(restricted[:len(grid)] - mu.masses).sum() / mu.total_mass)
     # wall facets through the origin carry zero Lp mass
     wall_mass = float(np.abs(restricted[len(grid):]).sum())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lpmink import cli, solver
 from lpmink.cli import main
 
 
@@ -19,6 +20,22 @@ def test_solve_const_density_end_to_end(tmp_path):
     assert (tmp_path / "residuals.csv").exists()
     body = json.loads((tmp_path / "body.json").read_text())
     assert len(body["normals"]) == 128
+
+
+def test_solve_verifies_once(tmp_path, monkeypatch):
+    calls = []
+    verify = solver.verify
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(solver, "verify", counted)
+    monkeypatch.setattr(cli, "verify", counted)
+    code = run_cli(["solve", "--n", "2", "--p", "0.5", "--c", "1",
+                    "--resolution", "64", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_solve_config_file(tmp_path):

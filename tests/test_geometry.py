@@ -1,12 +1,16 @@
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from conftest import random_polygon, random_polytope
 from lpmink.geometry import (GeometryError, WulffError, body_stats,
                              body_to_off, lp_surface_area_measure,
-                             santalo_quadrature, support, surface_area_measure,
-                             wulff_shape)
+                             santalo_quadrature, support, wulff_shape)
 from lpmink.sphere import unit_ball_volume
 
 SQUARE_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -36,6 +40,68 @@ def test_cube():
     assert B.volume == pytest.approx(8.0, abs=1e-10)
     assert np.allclose(B.facet_areas, 4.0, atol=1e-10)
     assert np.allclose(B.centroid, 0.0, atol=1e-12)
+
+
+def test_octahedron_merges_split_dual_facets():
+    # the dual cube's square faces reach Qhull as two triangles each
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    B = wulff_shape(3, signs / np.sqrt(3), np.ones(8))
+    assert len(B.vertices) == 6
+    assert B.volume == pytest.approx(4 * np.sqrt(3), rel=1e-12)
+    assert np.allclose(B.facet_areas, 3 * np.sqrt(3) / 2, rtol=1e-12)
+
+
+def _hull_reference(body):
+    """Volume, centroid and facet areas of body from a hull of its vertices."""
+    dim = body.dim
+    hull = ConvexHull(body.vertices)
+    simplex = body.vertices[hull.simplices]
+    edges = simplex[:, 1:] - simplex[:, :1]
+    size = np.sqrt(np.linalg.det(edges @ edges.transpose(0, 2, 1))) / factorial(dim - 1)
+    # each hull facet lies in the plane of the constraint with its normal
+    cos = hull.equations[:, :dim] @ body.normals.T
+    assert np.all(cos.max(axis=1) > 1 - 1e-9)
+    areas = np.zeros(len(body.normals))
+    np.add.at(areas, np.argmax(cos, axis=1), size)
+    # cones from an interior point over the facet simplices
+    apex = body.vertices.mean(axis=0)
+    cone = size * -(hull.equations[:, :dim] @ apex + hull.equations[:, dim]) / dim
+    centroid = (cone @ (simplex.sum(axis=1) + apex)) / (dim + 1) / cone.sum()
+    return hull.volume, centroid, areas
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), k=st.integers(8, 60),
+       seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.0, 2.0),
+       hinted=st.booleans())
+def test_wulff_matches_hull_of_its_vertices(dim, k, seed, spread, hinted):
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(k, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = rng.uniform(0.5, 0.5 + spread, k)
+    try:
+        body = wulff_shape(dim, normals, offsets,
+                           interior_hint=np.zeros(dim) if hinted else None)
+    except WulffError:
+        assume(False)
+    assert len(np.unique(body.vertices, axis=0)) == len(body.vertices)
+    volume, centroid, areas = _hull_reference(body)
+    assert body.volume == pytest.approx(volume, rel=1e-9)
+    assert np.allclose(body.centroid, centroid, rtol=0, atol=1e-9)
+    assert np.allclose(body.facet_areas, areas, rtol=0,
+                       atol=1e-9 * areas.sum())
+
+
+def test_wall_duplicating_a_grid_normal_owns_its_edge():
+    # a wall through the origin with the same normal as a looser grid
+    # constraint, as in a cone restriction of a solved body
+    ang = np.pi / 4 * np.arange(8)
+    grid = np.column_stack([np.cos(ang), np.sin(ang)])
+    normals = np.vstack([grid, grid[4]])
+    B = wulff_shape(2, normals, np.append(np.ones(8), 0.0))
+    assert B.facet_areas[8] > 0 and B.facet_areas[4] == 0.0
+    assert B.support_values[8] == 0.0
+    assert lp_surface_area_measure(B, 0.5)[8] == 0.0
 
 
 def test_circumscribed_polytope_matches_ball(grid3):
@@ -80,10 +146,10 @@ def test_support_against_lp_oracle():
 
 def test_surface_measure_cube_and_square():
     B = wulff_shape(3, CUBE_NORMALS, np.ones(6))
-    for normal, area in surface_area_measure(B):
+    for area in B.facet_areas:
         assert area == pytest.approx(4.0, abs=1e-10)
     S = wulff_shape(2, SQUARE_NORMALS, np.ones(4))
-    for normal, area in surface_area_measure(S):
+    for area in S.facet_areas:
         assert area == pytest.approx(2.0, abs=1e-12)
 
 
@@ -105,7 +171,7 @@ def test_surface_measure_hexagon_edge_lengths():
 def test_lp_measure_cube(n, p):
     normals = SQUARE_NORMALS if n == 2 else CUBE_NORMALS
     B = wulff_shape(n, normals, np.ones(2 * n))
-    for normal, mass in lp_surface_area_measure(B, p):
+    for mass in lp_surface_area_measure(B, p):
         assert mass == pytest.approx(2.0 ** (n - 1), abs=1e-10)
 
 
@@ -114,7 +180,7 @@ def test_lp_measure_zero_support_facet():
     offsets = np.array([2.0, 2.0, 0.0, 0.0])
     B = wulff_shape(2, SQUARE_NORMALS, offsets)
     masses = dict()
-    for normal, mass in lp_surface_area_measure(B, 0.5):
+    for normal, mass in zip(B.normals, lp_surface_area_measure(B, 0.5)):
         masses[tuple(np.round(normal).astype(int))] = mass
     assert masses[(-1, 0)] == 0.0
     assert masses[(0, -1)] == 0.0
@@ -127,8 +193,8 @@ def test_lp_measure_scaling_law():
     body = random_polygon(rng)
     p, lam = -1.0, 2.0
     scaled = wulff_shape(2, body.normals, lam * body.offsets)
-    m1 = np.array([m for _, m in lp_surface_area_measure(body, p)])
-    m2 = np.array([m for _, m in lp_surface_area_measure(scaled, p)])
+    m1 = lp_surface_area_measure(body, p)
+    m2 = lp_surface_area_measure(scaled, p)
     assert np.allclose(m2, lam ** (2 - p) * m1, rtol=1e-9, atol=1e-12)
 
 

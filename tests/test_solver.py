@@ -69,9 +69,8 @@ def test_minimize_beats_generator_energy(grid2):
     normals = np.column_stack([np.cos(ang), np.sin(ang)])
     tri = wulff_shape(2, normals, np.array([1.0, 0.7, 1.2]))
     p = 0.5
-    atoms = lp_surface_area_measure(tri, p)
-    mu = smooth_discrete(np.array([u for u, _ in atoms]),
-                         np.array([m for _, m in atoms]), grid2, m=32)
+    mu = smooth_discrete(tri.normals, lp_surface_area_measure(tri, p),
+                         grid2, m=32)
     prof = build_profile(p, 2, 0.05)
     body, xi, rec = minimize_fixed_eps(mu, prof, grid2, SolveOptions())
     tri1 = tri.scaled(tri.volume ** -0.5)
@@ -189,11 +188,11 @@ def test_verify_self_comparison():
     grid = DirectionGrid(3, nodes, np.full(6, sphere_area(3) / 6))
     cube = wulff_shape(3, nodes, np.ones(6))
     p = 0.5
-    masses = np.array([m for _, m in lp_surface_area_measure(cube, p)])
+    masses = lp_surface_area_measure(cube, p)
     mu = SphericalMeasure(grid, masses)
-    l1, linf, table = verify(cube, mu, p)
+    l1, linf, sp = verify(cube, mu, p)
     assert l1 <= 1e-12 and linf <= 1e-12
-    assert len(table) == 6
+    assert len(sp) == 6
 
 
 def test_verify_detects_scaling_mismatch():
@@ -202,7 +201,7 @@ def test_verify_detects_scaling_mismatch():
     grid = DirectionGrid(3, nodes, np.full(6, sphere_area(3) / 6))
     cube = wulff_shape(3, nodes, np.ones(6))
     p = 0.5
-    masses = np.array([m for _, m in lp_surface_area_measure(cube, p)])
+    masses = lp_surface_area_measure(cube, p)
     mu = SphericalMeasure(grid, masses)
     doubled = cube.scaled(2.0)
     l1, linf, _ = verify(doubled, mu, p)
