@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from lpmink.sphere import validate_group
 
@@ -206,19 +207,26 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
 
 
 def _distinct_atoms(measure, tol=1e-10):
-    """Merge coincident support directions, returning (dirs, masses)."""
+    """Merge coincident support directions, returning (dirs, masses).
+
+    Scanning the support in index order, a direction joins the
+    lowest-index representative within ``tol`` of it, or else becomes a
+    representative; representatives keep their order and collect their
+    members' masses in index order.
+    """
     dirs = measure.support_directions()
     masses = measure.support_masses()
-    out_d, out_m = [], []
-    for u, w in zip(dirs, masses):
-        for j, v in enumerate(out_d):
-            if np.linalg.norm(u - v) <= tol:
-                out_m[j] += w
-                break
-        else:
-            out_d.append(u)
-            out_m.append(w)
-    return np.array(out_d), np.array(out_m)
+    pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")
+    if len(pairs) == 0:
+        return dirs, masses
+    rep = np.arange(len(dirs))
+    # pairs (i < j) by j, then i: each j meets its lowest representative first
+    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]:
+        if rep[j] == j and rep[i] == i:
+            rep[j] = i
+    keep = rep == np.arange(len(dirs))
+    slot = np.cumsum(keep) - 1
+    return dirs[keep], np.bincount(slot[rep], weights=masses)
 
 
 def _linear_span(dirs, tol=1e-9):
@@ -251,16 +259,16 @@ def positive_hull_check(measure):
     L_dim = basis.shape[1]
 
     k = len(dirs)
-    # max delta s.t. sum lambda_j u_j = 0, sum lambda = 1, lambda_j >= delta
+    # max delta s.t. sum lambda_j u_j = 0, sum lambda = 1, lambda_j >= delta;
+    # with lambda_j = delta + s_j, s_j >= 0 the LP has n + 1 equality rows
     c = np.zeros(k + 1)
     c[-1] = -1.0
-    A_eq = np.vstack([np.hstack([dirs.T, np.zeros((n, 1))]),
-                      np.hstack([np.ones(k), [0.0]])])
+    A_eq = np.vstack([np.hstack([dirs.T, dirs.sum(axis=0)[:, None]]),
+                      np.append(np.ones(k), k)])
     b_eq = np.zeros(n + 1)
     b_eq[-1] = 1.0
-    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * (k + 1), method="highs")
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * k + [(None, None)], method="highs")
     pos_equals_L = bool(res.success and -res.fun > 1e-10)
 
     antipodal = (k == 2 and np.linalg.norm(dirs[0] + dirs[1]) <= 1e-9)
@@ -292,44 +300,121 @@ class SubspaceConcentrationReport:
     witnesses: list = field(default_factory=list)
 
 
+#: entries in one (block rows x atoms) array of the subspace candidate scan
+_SCAN_BLOCK = 1 << 13
+
+
+def _line_distances(rows, dirs):
+    """|u ^ v|, the distance of each atom v from the line through each row u.
+
+    Summed squares of the 2 x 2 minors: no cancellation near u = +-v.
+    """
+    n = dirs.shape[1]
+    sq = np.zeros((len(rows), len(dirs)))
+    for a in range(n):
+        for b in range(a + 1, n):
+            minor = np.outer(rows[:, a], dirs[:, b]) - np.outer(rows[:, b], dirs[:, a])
+            sq += minor * minor
+    return np.sqrt(sq)
+
+
+def _planes_through(rows, dirs, dist, tol):
+    """Split the atoms off each row's line into the planes through the row.
+
+    An atom v off the line of u sits at the angle, mod pi, of its
+    projection p onto u^perp (|p| = dist). Sorted by angle, consecutive
+    atoms a, b share a plane through u while max(|p_a|, |p_b|) times their
+    angle gap, each one's distance from the other's plane, is at most
+    ``tol``; the circle of angles is cut at its widest gap, so no run
+    wraps. Returns (members, starts, owner): run r is the atoms
+    members[starts[r]:starts[r + 1]] and passes through rows[owner[r]].
+    """
+    axis = np.eye(3)[np.argmin(np.abs(rows), axis=1)]
+    e1 = np.cross(rows, axis)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(rows, e1)
+    off = dist > tol
+    # atoms on the line sort last, behind the sentinel angle 2 pi
+    theta = np.where(off, np.arctan2(e2 @ dirs.T, e1 @ dirs.T) % np.pi, 2 * np.pi)
+    order = np.argsort(theta, axis=1, kind="stable")
+    theta = np.take_along_axis(theta, order, axis=1)
+    radius = np.take_along_axis(dist, order, axis=1)
+    count = off.sum(axis=1)[:, None]
+    pos = np.arange(dirs.shape[0])
+    valid = pos < count
+    # gap after each sorted atom; the last one's wraps to the first + pi
+    wrap = pos == count - 1
+    next_theta = np.where(wrap, theta[:, :1] + np.pi, np.roll(theta, -1, axis=1))
+    next_radius = np.where(wrap, radius[:, :1], np.roll(radius, -1, axis=1))
+    gap = np.where(valid, np.maximum(radius, next_radius) * (next_theta - theta),
+                   -np.inf)
+    shift = np.argmax(gap, axis=1)[:, None] + 1
+    src = np.where(valid, (pos + shift) % np.maximum(count, 1), pos)
+    order = np.take_along_axis(order, src, axis=1)
+    ends = np.take_along_axis(gap > tol, src, axis=1)
+    start = np.ones_like(ends)
+    start[:, 1:] = ends[:, :-1]
+    start &= valid
+    return order[valid], np.flatnonzero(start[valid]), np.nonzero(start)[0]
+
+
 def subspace_concentration_check(measure, tol=1e-9):
     """Check mu(L cap S^{n-1}) <= (dim L / n) mu(S^{n-1}) over atom-spanned L.
 
     At equality, also verifies that a complementary subspace L' containing
     the remaining support exists. Exact for atomic measures: any extremal
     subspace is spanned by support atoms.
+
+    A candidate subspace is its set of atoms, and an atom lies in L when
+    its distance from L is at most ``tol``: |u ^ v| <= tol for the line
+    through v, |<u, w>| <= tol for a plane with unit normal w. Lines are
+    taken through every atom and, for n = 3, planes through every pair
+    of atoms off one line; ``_planes_through`` groups the planes through
+    each atom by one angle sort. Each subspace is counted once, at its
+    lowest-index atom. Witnesses list lines by that atom, then planes by
+    their lowest (i, j) pair. Cost O(k^2 log k) time and O(k) memory per
+    atom for k distinct atoms.
     """
     dirs, masses = _distinct_atoms(measure)
     n = measure.dim
     total = masses.sum()
+    k = len(dirs)
 
-    candidates = []
-    # dimension-1 subspaces: one line per +-direction class
-    seen = []
-    for i, u in enumerate(dirs):
-        if any(abs(abs(u @ v) - 1.0) <= tol for v in seen):
-            continue
-        seen.append(u)
-        on = np.abs(np.abs(dirs @ u) - 1.0) <= tol
-        candidates.append((1, u[None, :], on))
-    # dimension-2 subspaces (n = 3): planes through atom pairs
-    if n == 3:
-        seen_normals = []
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                w = np.cross(dirs[i], dirs[j])
-                nw = np.linalg.norm(w)
-                if nw <= tol:
-                    continue
-                w = w / nw
-                if any(abs(abs(w @ v) - 1.0) <= tol for v in seen_normals):
-                    continue
-                seen_normals.append(w)
-                on = np.abs(dirs @ w) <= tol
-                candidates.append((2, np.vstack([dirs[i], dirs[j]]), on))
+    # each candidate as (dim, lowest atom i, lowest atom j off i's line);
+    # only those near their limit can be witnesses: their atom sets are
+    # kept and their ratios summed again in atom order below
+    floor = {d: 1.0 - (tol + 1e-12) * n / d for d in (1, 2)}
+    atom_sets, worst = {}, 0.0
+    step = max(1, _SCAN_BLOCK // k)
+    for b in range(0, k, step):
+        block = np.arange(b, min(b + step, k))
+        dist = _line_distances(dirs[block], dirs)
+        on_line = dist <= tol
+        lowest = np.argmax(on_line, axis=1) == block
+        line_mass = on_line @ masses
+        rows = np.flatnonzero(lowest)
+        scaled = line_mass[rows] / total * n
+        worst = max(worst, scaled.max(initial=0.0))
+        for r in rows[scaled >= floor[1]]:
+            atom_sets[1, int(block[r]), -1] = on_line[r].copy()
+        if n == 3:
+            members, starts, owner = _planes_through(dirs[block], dirs, dist, tol)
+            if len(starts) == 0:
+                continue
+            low = np.minimum.reduceat(members, starts)
+            runs = np.flatnonzero(lowest[owner] & (low > block[owner]))
+            mass = line_mass[owner[runs]] + np.add.reduceat(masses[members], starts)[runs]
+            scaled = mass / total * n / 2
+            worst = max(worst, scaled.max(initial=0.0))
+            bounds = np.append(starts, len(members))
+            for r in runs[scaled >= floor[2]]:
+                on = on_line[owner[r]].copy()
+                on[members[bounds[r]:bounds[r + 1]]] = True
+                atom_sets[2, int(block[owner[r]]), int(low[r])] = on
 
-    report = SubspaceConcentrationReport(satisfied=True, worst_ratio=0.0)
-    for dim_L, span_rows, on in candidates:
+    report = SubspaceConcentrationReport(satisfied=True, worst_ratio=float(worst))
+    for (dim_L, i, j), on in sorted(atom_sets.items()):
+        span_rows = dirs[[i, j] if dim_L == 2 else [i]]
         ratio = float(masses[on].sum() / total)
         limit = dim_L / n
         equality = abs(ratio - limit) <= tol
@@ -352,7 +437,7 @@ def subspace_concentration_check(measure, tol=1e-9):
             report.witnesses.append(witness)
         elif equality:
             report.witnesses.append(witness)
-        report.worst_ratio = max(report.worst_ratio, ratio / limit if limit else np.inf)
+        report.worst_ratio = max(report.worst_ratio, ratio / limit)
     return report
 
 

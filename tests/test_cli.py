@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,25 @@ def test_check_good_measure_exits_0(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["check", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)]) == 0
+
+
+def test_check_default_n3_grid_finishes(tmp_path):
+    # the toolbox benchmark's bump density on all 500 nodes of the default grid
+    cfg = {
+        "n": 3,
+        "measure": {"density": "bump", "params": {
+            "center": [0.6, 0.0, 0.8], "amplitude": 0.5, "width": 0.5}},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code = run_cli(["check", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["positive_hull"]["passes"] is True
+    assert report["subspace_concentration"]["satisfied"] is True
 
 
 def test_identity_critical_case(tmp_path):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.stats import special_ortho_group
 
 from lpmink.measures import (HypothesisError, MeasureError, SphericalMeasure,
-                             density_measure, positive_hull_check,
-                             smooth_discrete, subspace_concentration_check,
+                             _distinct_atoms, _linear_span, density_measure,
+                             positive_hull_check, smooth_discrete,
+                             subspace_concentration_check,
                              symmetrize_hemisphere, truncate_density)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area
 
@@ -220,6 +225,15 @@ def test_subspace_concentration_antipodal_violated():
     assert report.worst_ratio == pytest.approx(2.0)
 
 
+def test_subspace_concentration_equality_within_tol():
+    # the e1 line holds 4e-10 less than its limit 1/2: still an equality
+    report = subspace_concentration_check(
+        axis_measure_2d([0.25, 0.25 - 4e-10, 0.25, 0.25 + 4e-10]))
+    assert report.satisfied
+    assert [(w.atom_indices, w.equality, w.complement_exists)
+            for w in report.witnesses] == [([0, 1], True, True), ([2, 3], True, True)]
+
+
 def test_subspace_concentration_generic_atoms_strict():
     rng = np.random.default_rng(103)
     nodes = rng.normal(size=(10, 3))
@@ -230,6 +244,192 @@ def test_subspace_concentration_generic_atoms_strict():
     assert report.satisfied
     assert report.worst_ratio < 1.0
     assert not report.witnesses
+
+
+def test_subspace_concentration_keeps_planes_with_close_normals():
+    # the plane through u1, u2 has normal nA, 3e-5 rad from the equator's e3;
+    # the two planes share only the line through e2
+    a = 3e-5
+    nA = np.array([np.sin(a), 0.0, np.cos(a)])
+    e2, e3 = np.eye(3)[1], np.eye(3)[2]
+    equator = [np.array([np.cos(t), np.sin(t), 0.0]) for t in (0.3, 1.9, 3.5, 5.0)]
+    nodes = np.array([np.cross(nA, e2), e2] + equator + [e3])
+    grid = DirectionGrid(3, nodes, np.full(7, sphere_area(3) / 7))
+    masses = np.array([0.02, 0.02] + [0.225] * 4 + [0.08])
+    report = subspace_concentration_check(SphericalMeasure(grid, masses))
+    assert not report.satisfied
+    assert len(report.witnesses) == 1
+    w = report.witnesses[0]
+    assert (w.dim, w.atom_indices, w.equality) == (2, [1, 2, 3, 4, 5], False)
+    assert w.ratio == pytest.approx(0.92 / 1.02, rel=1e-12)
+    assert report.worst_ratio == pytest.approx(1.5 * 0.92 / 1.02, rel=1e-12)
+
+
+def _brute_force_subspace_check(measure, tol=1e-9):
+    """O(k^3) reference: lines through each atom and planes through each
+    pair, membership by distance at most tol, deduplicated by atom set."""
+    dirs, masses = _distinct_atoms(measure)
+    n = measure.dim
+    candidates, seen = [], set()
+
+    def add(dim_L, span_rows, on):
+        key = (dim_L,) + tuple(np.flatnonzero(on))
+        if key not in seen:
+            seen.add(key)
+            candidates.append((dim_L, span_rows, on))
+
+    for u in dirs:
+        add(1, u[None, :], np.linalg.norm(dirs - np.outer(dirs @ u, u), axis=1) <= tol)
+    if n == 3:
+        for i in range(len(dirs)):
+            for j in range(i + 1, len(dirs)):
+                w = np.cross(dirs[i], dirs[j])
+                if np.linalg.norm(w) > tol:
+                    add(2, dirs[[i, j]], np.abs(dirs @ w) / np.linalg.norm(w) <= tol)
+
+    satisfied, worst, witnesses = True, 0.0, []
+    for dim_L, span_rows, on in candidates:
+        ratio = masses[on].sum() / masses.sum()
+        limit = dim_L / n
+        equality = abs(ratio - limit) <= tol
+        complement = False
+        if equality:
+            rest = dirs[~on]
+            complement = len(rest) == 0
+            if not complement:
+                L, R = _linear_span(span_rows), _linear_span(rest)
+                complement = (R.shape[1] <= n - dim_L and np.linalg.matrix_rank(
+                    np.hstack([L, R]), tol=1e-9) == L.shape[1] + R.shape[1])
+        if ratio > limit + tol or equality:
+            satisfied = satisfied and not (ratio > limit + tol or not complement)
+            witnesses.append((dim_L, ratio, equality, complement,
+                              np.flatnonzero(on).tolist()))
+        worst = max(worst, ratio / limit)
+    return satisfied, worst, witnesses
+
+
+def _random_unit(rng, n):
+    u = rng.normal(size=n)
+    return u / np.linalg.norm(u)
+
+
+def _planted_atoms(rng, n, parts):
+    """Directions with planted structure, coincident ones dropped."""
+    rot = special_ortho_group.rvs(n, random_state=rng) if n == 3 else np.eye(2)
+    dirs = []
+    for part in parts:
+        if part == "random":
+            dirs += [_random_unit(rng, n) for _ in range(rng.integers(1, 4))]
+        elif part == "circle":  # atoms on one great circle
+            if n == 3:
+                basis = special_ortho_group.rvs(3, random_state=rng)[:2]
+            else:
+                basis = np.eye(2)
+            t = rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 6))
+            dirs += list(np.column_stack([np.cos(t), np.sin(t)]) @ basis)
+        elif part == "antipodal":
+            u = dirs[rng.integers(len(dirs))] if dirs else _random_unit(rng, n)
+            dirs += [u, -u]
+        elif part == "axes":  # coordinate axes, shared by other parts
+            dirs += list(np.eye(n)[rng.permutation(n)[:2]] * rng.choice([-1, 1]))
+        elif part == "octahedron":
+            dirs += list(np.vstack([np.eye(n), -np.eye(n)]) @ rot)
+        elif part == "cube":
+            corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n)).reshape(n, -1).T
+            dirs += list(corners / np.sqrt(n) @ rot)
+    kept = []
+    for u in dirs:
+        if all(np.linalg.norm(u - v) > 1e-6 for v in kept):
+            kept.append(u / np.linalg.norm(u))
+    return np.array(kept[:12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       parts=st.lists(st.sampled_from(["random", "circle", "antipodal", "axes",
+                                       "octahedron", "cube"]),
+                      min_size=1, max_size=4),
+       weights=st.sampled_from(["equal", "random", "heavy"]),
+       twin=st.booleans())
+def test_subspace_concentration_matches_brute_force(n, seed, parts, weights, twin):
+    rng = np.random.default_rng(seed)
+    dirs = _planted_atoms(rng, n, parts)
+    k = len(dirs)
+    masses = {"equal": np.ones(k), "random": rng.uniform(0.5, 1.5, k),
+              "heavy": np.append(k, np.ones(k - 1))}[weights]
+    if twin:  # a second node 1e-12 from the first, merged into one atom
+        twin_dir = dirs[0] + 1e-12 * _random_unit(rng, n)
+        dirs = np.vstack([dirs, twin_dir / np.linalg.norm(twin_dir)])
+        masses = np.append(masses, 0.5)
+    grid = DirectionGrid(n, dirs, np.full(len(dirs), sphere_area(n) / len(dirs)))
+    mu = SphericalMeasure(grid, masses)
+    report = subspace_concentration_check(mu)
+    satisfied, worst, witnesses = _brute_force_subspace_check(mu)
+    assert report.satisfied == satisfied
+    assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert [(w.dim, w.atom_indices, w.equality, w.complement_exists)
+            for w in report.witnesses] == [(d, a, e, c) for d, _, e, c, a in witnesses]
+    assert [w.ratio for w in report.witnesses] == pytest.approx(
+        [r for _, r, _, _, _ in witnesses], rel=1e-12)
+
+
+def _dense_positive_hull_lp(dirs):
+    """Reference LP: max delta with lambda_j >= delta as k dense rows."""
+    k, n = dirs.shape
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    A_eq = np.vstack([np.hstack([dirs.T, np.zeros((n, 1))]),
+                      np.hstack([np.ones(k), [0.0]])])
+    b_eq = np.append(np.zeros(n), 1.0)
+    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * (k + 1), method="highs")
+    return bool(res.success and -res.fun > 1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       parts=st.lists(st.sampled_from(["random", "circle", "antipodal", "axes",
+                                       "octahedron", "cube"]),
+                      min_size=1, max_size=3),
+       fold=st.booleans())
+def test_positive_hull_matches_dense_lp(n, seed, parts, fold):
+    rng = np.random.default_rng(seed)
+    dirs = _planted_atoms(rng, n, parts)
+    if fold:  # into the half-space x_1 >= 0; antipodes become duplicates
+        dirs = np.unique(dirs * np.where(dirs[:, :1] < 0, -1.0, 1.0), axis=0)
+    grid = DirectionGrid(n, dirs, np.full(len(dirs), sphere_area(n) / len(dirs)))
+    mu = SphericalMeasure(grid, rng.uniform(0.5, 1.5, len(dirs)))
+    report = positive_hull_check(mu)
+    assert report.pos_equals_L == _dense_positive_hull_lp(_distinct_atoms(mu)[0])
+
+
+def test_distinct_atoms_matches_greedy_scan():
+    rng = np.random.default_rng(7)
+    base = np.array([_random_unit(rng, 3) for _ in range(40)])
+    # chains of near-coincident nodes: 0.6e-10 steps, so a node can be
+    # within 1e-10 of a merged node but not of its representative
+    chain = [base[0] + s * 0.6e-10 * np.eye(3)[1] for s in range(1, 4)]
+    near = [base[5] + 0.3e-10 * _random_unit(rng, 3) for _ in range(3)]
+    nodes = np.vstack([base, chain, near])
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    nodes = nodes[rng.permutation(len(nodes))]
+    grid = DirectionGrid(3, nodes, np.full(len(nodes), sphere_area(3) / len(nodes)))
+    mu = SphericalMeasure(grid, rng.uniform(0.5, 1.5, len(nodes)))
+
+    out_d, out_m = [], []
+    for u, w in zip(mu.support_directions(), mu.support_masses()):
+        for j, v in enumerate(out_d):
+            if np.linalg.norm(u - v) <= 1e-10:
+                out_m[j] += w
+                break
+        else:
+            out_d.append(u)
+            out_m.append(w)
+    dirs, masses = _distinct_atoms(mu)
+    assert len(out_d) < len(nodes) - 3
+    assert np.array_equal(dirs, np.array(out_d))
+    assert np.array_equal(masses, np.array(out_m))
 
 
 def test_measure_group_invariance_validation():
