@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from lpmink.sphere import validate_group
+from lpmink.sphere import GridError, node_permutations, validate_group
 
 
 class MeasureError(ValueError):
@@ -37,7 +37,11 @@ class SphericalMeasure:
         (tau1, tau2) when the measure samples a density f with
         tau1 <= f <= tau2 on the nodes.
     group : list of ndarray or None
-        Finite orthogonal invariance group.
+        Finite orthogonal invariance group; the solver descends on the
+        subspace of offsets invariant under it.
+    permutations : list of ndarray or None
+        For each group element A, the index array ``pi`` with
+        ``nodes[pi[i]] == A @ nodes[i]`` up to matching tolerance.
     """
 
     def __init__(self, grid, masses, density_bounds=None, group=None):
@@ -57,21 +61,31 @@ class SphericalMeasure:
         self.grid = grid
         self.masses = masses
         self.density_bounds = density_bounds
-        self.group = group
+        self.group = None
+        self.permutations = None
         if group is not None:
-            self._check_group_invariance()
+            try:
+                self.group = validate_group(group, grid.dim)
+                self.permutations = node_permutations(grid.nodes, self.group)
+            except GridError as exc:
+                raise MeasureError("invalid invariance group: %s" % exc) from exc
+            scale = max(masses.max(), 1e-300)
+            for pi in self.permutations:
+                if np.max(np.abs(masses[pi] - masses)) > 1e-8 * scale:
+                    raise MeasureError("masses are not invariant under the group")
 
-    def _check_group_invariance(self, tol=1e-8):
-        scale = max(self.masses.max(), 1e-300)
-        for A in self.group:
-            images = self.grid.nodes @ np.asarray(A, dtype=float).T
-            d, idx = self.grid._tree.query(images)
-            if d.max() > 1e-8:
-                raise MeasureError("grid is not closed under the measure's group")
-            rotated = np.zeros_like(self.masses)
-            np.add.at(rotated, idx, self.masses)
-            if np.max(np.abs(rotated - self.masses)) > tol * scale:
-                raise MeasureError("masses are not invariant under the group")
+    def orbit_average(self, values):
+        """Average a per-node vector over the orbits of the measure's group.
+
+        Returns ``values`` unchanged for measures without a group.
+        """
+        values = np.asarray(values, dtype=float)
+        if self.permutations is None:
+            return values
+        acc = np.zeros_like(values)
+        for pi in self.permutations:
+            acc[pi] += values
+        return acc / len(self.permutations)
 
     @property
     def dim(self):
@@ -169,10 +183,10 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
     mats = [np.eye(grid.dim)]
     if group is not None:
         mats = validate_group(group, grid.dim)
-        for A in mats:
-            d, _ = grid._tree.query(grid.nodes @ np.asarray(A).T)
-            if d.max() > 1e-8:
-                raise MeasureError("grid is not closed under the smoothing group")
+        try:
+            node_permutations(grid.nodes, mats)
+        except GridError as exc:
+            raise MeasureError("grid is not closed under the smoothing group") from exc
 
     nodes = grid.nodes
     # greedy farthest-point net on the nodes in orbit distance

@@ -14,6 +14,7 @@ import numpy as np
 
 from lpmink.energy import CenterError, build_profile, optimal_center
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
+from lpmink.measures import HypothesisError, positive_hull_check
 
 
 class SolverError(RuntimeError):
@@ -41,7 +42,6 @@ class SolveOptions:
     body_tol: float = 1e-5
     touch_threshold: float = None
     max_diameter: float = 60.0
-    center_tol: float = 1e-10
 
 
 @dataclass
@@ -118,8 +118,7 @@ def el_residual(body, xi, measure, profile):
     return r, lambda_eps
 
 
-def evaluate_offsets(measure, profile, h, center_tol=1e-10, xi0=None,
-                     validate=True):
+def evaluate_offsets(measure, profile, h, xi0=None, validate=True):
     """Build the volume-normalized Wulff shape at offsets h and score it.
 
     Returns (body, xi, energy, r, lambda_eps) where the body has volume one,
@@ -130,20 +129,22 @@ def evaluate_offsets(measure, profile, h, center_tol=1e-10, xi0=None,
     raw = wulff_shape(grid.dim, grid.nodes, np.asarray(h, dtype=float),
                       validate=validate, interior_hint=xi0)
     body = raw.scaled(raw.volume ** (-1.0 / grid.dim))
-    xi, _, _ = optimal_center(body, measure, profile, tol=center_tol, x0=xi0)
+    xi, _, _ = optimal_center(body, measure, profile, x0=xi0)
     t = body.support_values - body.normals @ xi
     energy = float(np.sum(profile.phi(t) * measure.masses))
     r, lambda_eps = el_residual(body, xi, measure, profile)
     return body, xi, energy, r, lambda_eps
 
 
-def minimize_fixed_eps(measure, profile, grid, opts=None, h0=None,
-                       group_average=False, energy_trace=None, xi0=None):
+def minimize_fixed_eps(measure, profile, opts=None, h0=None,
+                       energy_trace=None, xi0=None):
     """Projected gradient descent for the fixed-eps minimum body.
 
     At each iterate the offsets are renormalized to volume one, the optimal
     center and the Euler-Lagrange residual r are computed, and the step
     h <- h_support - eta * r is backtracked until the energy decreases.
+    For a measure with an invariance group the step direction is r averaged
+    over the group's orbits, so the iterates stay invariant.
     Step sizes follow a safeguarded Barzilai-Borwein rule. Terminates when
     max |r| <= opts.tol * lambda_eps or after opts.max_iter iterations.
 
@@ -153,17 +154,15 @@ def minimize_fixed_eps(measure, profile, grid, opts=None, h0=None,
     previous stage's center).
     """
     opts = opts or SolveOptions()
-    if grid is not measure.grid:
-        raise SolverError("the solver grid must be the measure's support grid")
-    h = np.ones(len(grid)) if h0 is None else np.asarray(h0, dtype=float).copy()
+    h = (np.ones(len(measure.grid)) if h0 is None
+         else np.asarray(h0, dtype=float).copy())
 
-    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h,
-                                                opts.center_tol, xi0=xi0,
+    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0,
                                                 validate=False)
     if energy_trace is not None:
         energy_trace.append(energy)
     h = body.support_values.copy()
-    direction = grid.orbit_average(r) if group_average else r
+    direction = measure.orbit_average(r)
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
     prev_h = None
     prev_dir = None
@@ -195,8 +194,7 @@ def minimize_fixed_eps(measure, profile, grid, opts=None, h0=None,
             cand = h - step * direction
             try:
                 nbody, nxi, nenergy, nr, nlam = evaluate_offsets(
-                    measure, profile, cand, opts.center_tol, xi0=xi,
-                    validate=False)
+                    measure, profile, cand, xi0=xi, validate=False)
             except (WulffError, SolverError, CenterError):
                 step *= 0.5
                 continue
@@ -211,7 +209,7 @@ def minimize_fixed_eps(measure, profile, grid, opts=None, h0=None,
         if energy_trace is not None:
             energy_trace.append(energy)
         h = body.support_values.copy()
-        direction = grid.orbit_average(r) if group_average else r
+        direction = measure.orbit_average(r)
         R = float(np.max(np.linalg.norm(body.vertices - body.centroid, axis=1)))
         if 2.0 * R > opts.max_diameter:
             raise SolverError("iterate diameter exceeded the guard %.1f"
@@ -233,17 +231,18 @@ def solve(measure, p, opts=None):
 
     The supported regime is a discrete density bounded between positive
     constants; measures with vanishing or unbounded density should first go
-    through smoothing or symmetrization, though the descent is attempted
-    for any nontrivial measure.
+    through smoothing or symmetrization. A measure supported in a closed
+    hemisphere raises HypothesisError before any descent: symmetrize it
+    with ``symmetrize_hemisphere`` first.
     """
     opts = opts or SolveOptions()
     n = measure.dim
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
-    grid = measure.grid
-    # invariant descent needs the grid's node permutations; without them
-    # (grid not built with the symmetry) fall back to plain descent
-    group_average = bool(measure.group) and grid.permutations is not None
+    hull = positive_hull_check(measure)
+    if hull.L_dim < n or not hull.pos_equals_L:
+        raise HypothesisError("the support lies in a closed hemisphere; "
+                              "symmetrize the measure first (lpmink symmetrize)")
 
     report = SolveReport(p=p)
     h = None
@@ -253,9 +252,8 @@ def solve(measure, p, opts=None):
     for k in range(opts.stages):
         eps_k = opts.eps0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
-        body, xi, record = minimize_fixed_eps(
-            measure, profile, grid, opts, h0=h, group_average=group_average,
-            xi0=xi)
+        body, xi, record = minimize_fixed_eps(measure, profile, opts, h0=h,
+                                              xi0=xi)
         report.stages.append(record)
         h = body.support_values.copy()
         if len(report.stages) >= 2:

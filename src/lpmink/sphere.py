@@ -46,14 +46,9 @@ class DirectionGrid:
         Unit direction vectors.
     weights : ndarray, shape (N,)
         Positive quadrature weights; they sum to the total sphere area.
-    group : list of ndarray or None
-        Finite orthogonal symmetry group the node set is closed under.
-    permutations : list of ndarray or None
-        For each group element A, the index array ``pi`` with
-        ``nodes[pi[i]] == A @ nodes[i]`` up to matching tolerance.
     """
 
-    def __init__(self, dim, nodes, weights, group=None, permutations=None):
+    def __init__(self, dim, nodes, weights):
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != dim:
@@ -76,8 +71,6 @@ class DirectionGrid:
         self.dim = dim
         self.nodes = nodes
         self.weights = weights
-        self.group = group
-        self.permutations = permutations
         self._tree = cKDTree(nodes)
 
     def __len__(self):
@@ -103,19 +96,6 @@ class DirectionGrid:
         d, _ = self._tree.query(self.nodes, k=2)
         chord = d[:, 1].min()
         return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
-
-    def orbit_average(self, values):
-        """Average a per-node vector over the symmetry group orbits.
-
-        Returns ``values`` unchanged for grids without a group.
-        """
-        if not self.permutations:
-            return np.asarray(values, dtype=float)
-        values = np.asarray(values, dtype=float)
-        acc = np.zeros_like(values)
-        for pi in self.permutations:
-            acc[pi] += values
-        return acc / len(self.permutations)
 
     def to_dict(self):
         return {
@@ -203,16 +183,21 @@ def _orbit_closure(nodes, mats):
     return kept
 
 
-def _node_permutations(nodes, mats, tol=1e-8):
+def node_permutations(nodes, mats, tol=1e-8):
+    """Index permutations of a node set induced by the group ``mats``.
+
+    For each group element A returns the index array ``pi`` with
+    ``nodes[pi[i]] == A @ nodes[i]`` within ``tol``. Raises GridError when
+    an image misses the node set or A does not map it onto itself.
+    """
     tree = cKDTree(nodes)
     perms = []
     for A in mats:
         images = nodes @ A.T
         d, idx = tree.query(images)
         if d.max() > tol:
-            raise GridError(
-                "orbit closure failed: group image misses node set by %.2e" % d.max()
-            )
+            raise GridError("node set is not closed under the group: an "
+                            "image misses it by %.2e" % d.max())
         if len(np.unique(idx)) != len(nodes):
             raise GridError("group element does not permute the node set")
         perms.append(idx)
@@ -231,8 +216,8 @@ def build_grid(n, resolution, symmetry=None):
         n=3. Equal weights summing to the sphere area in both cases.
     symmetry : sequence of (n, n) orthogonal matrices, optional
         Finite group; the returned node set is a union of full group orbits
-        (orbit closure with duplicate merging), and the grid carries the
-        node permutations induced by each group element.
+        (orbit closure with duplicate merging). Invariant descent follows
+        a measure's own group (``SphericalMeasure(group=)``), not the grid's.
     """
     if n not in (2, 3):
         raise GridError("only dimensions 2 and 3 are supported")
@@ -243,11 +228,9 @@ def build_grid(n, resolution, symmetry=None):
         nodes, weights = _circle_grid(resolution)
     else:
         nodes, weights = _fibonacci_grid(resolution)
-    mats = None
-    perms = None
     if symmetry is not None:
         mats = validate_group(symmetry, n)
         nodes = _orbit_closure(nodes, mats)
         weights = np.full(len(nodes), sphere_area(n) / len(nodes))
-        perms = _node_permutations(nodes, mats)
-    return DirectionGrid(n, nodes, weights, group=mats, permutations=perms)
+        node_permutations(nodes, mats)  # raises unless the closure holds
+    return DirectionGrid(n, nodes, weights)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lpmink.geometry import WulffError, wulff_shape
+
+# print a @reproduce_failure line with every falsifying example, so a
+# failure can be replayed from the test log without the example database
+settings.register_profile("lpmink", print_blob=True)
+settings.load_profile("lpmink")
 
 
 def random_polygon(rng, k=12, spread=(0.6, 1.4), origin_interior=True):

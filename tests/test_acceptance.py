@@ -262,7 +262,7 @@ def test_criterion_09_gradient_validations():
 
     # outer F-gradient against central differences, 1e-4 relative
     from lpmink.solver import minimize_fixed_eps
-    it_body, _, _ = minimize_fixed_eps(mu, prof, grid, SolveOptions(max_iter=25))
+    it_body, _, _ = minimize_fixed_eps(mu, prof, SolveOptions(max_iter=25))
     h = it_body.support_values.copy()
     _, _, F0, r0, _ = evaluate_offsets(mu, prof, h)
     outer_ok = True
@@ -287,7 +287,7 @@ def test_criterion_10_group_invariance():
     mu = SphericalMeasure(grid, f(grid.nodes) * grid.weights, group=group)
     M, rep = solve(mu, 0.5)
     worst = 0.0
-    for pi in grid.permutations:
+    for pi in mu.permutations:
         worst = max(worst, float(np.max(np.abs(M.support_values[pi]
                                                - M.support_values))))
     _report(10, "dihedral-invariant measure yields invariant offsets",

@@ -158,6 +158,18 @@ def test_symmetrize_hypothesis_failure_exits_2(tmp_path):
                     "--output-dir", str(tmp_path)]) == 2
 
 
+def test_solve_closed_hemisphere_support_exits_2(tmp_path):
+    cfg = {
+        "n": 2, "p": 0.5, "resolution": 256,
+        "measure": {"density": "arc", "params": {"theta_min": -1.5707963267948966,
+                                                 "theta_max": 1.5707963267948966}},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 2
+
+
 def test_smooth_command(tmp_path):
     cfg = {
         "n": 2, "resolution": 360, "m": 8,

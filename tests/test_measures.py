@@ -438,6 +438,11 @@ def test_measure_group_invariance_validation():
     masses[0] = 5.0
     with pytest.raises(MeasureError):
         SphericalMeasure(g, masses, group=[np.eye(2), -np.eye(2)])
+    # a rotation by 1 degree without its powers is not a group
+    c, s = np.cos(np.pi / 180), np.sin(np.pi / 180)
+    with pytest.raises(MeasureError):
+        SphericalMeasure(g, np.ones(len(g)),
+                         group=[np.eye(2), np.array([[c, -s], [s, c]])])
 
 
 def test_measure_density_bounds_validation():

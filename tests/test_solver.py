@@ -4,7 +4,8 @@ import pytest
 from conftest import dihedral_group
 from lpmink.energy import build_profile, energy, optimal_center
 from lpmink.geometry import lp_surface_area_measure, wulff_shape
-from lpmink.measures import SphericalMeasure, density_measure, smooth_discrete
+from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
+                             smooth_discrete)
 from lpmink.solver import (SolveOptions, SolverError, el_residual,
                            evaluate_offsets, minimize_fixed_eps, solve, verify)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area, unit_ball_volume
@@ -56,7 +57,7 @@ def test_minimize_recovers_disk(grid2):
     for p in (0.5, -1.5):
         mu = uniform_measure(grid2)
         prof = build_profile(p, 2, 0.05)
-        body, xi, rec = minimize_fixed_eps(mu, prof, grid2, SolveOptions())
+        body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions())
         assert rec.converged
         dev = np.abs(body.support_values - target) / target
         assert dev.max() <= 0.02
@@ -72,7 +73,7 @@ def test_minimize_beats_generator_energy(grid2):
     mu = smooth_discrete(tri.normals, lp_surface_area_measure(tri, p),
                          grid2, m=32)
     prof = build_profile(p, 2, 0.05)
-    body, xi, rec = minimize_fixed_eps(mu, prof, grid2, SolveOptions())
+    body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions())
     tri1 = tri.scaled(tri.volume ** -0.5)
     xi_t, _, _ = optimal_center(tri1, mu, prof)
     assert rec.energy <= energy(tri1, xi_t, mu, prof) + 1e-6
@@ -82,7 +83,7 @@ def test_energy_monotone_along_descent(grid2):
     mu = density_measure(lambda U: 1 + 0.5 * U[:, 0], grid2)
     prof = build_profile(0.5, 2, 0.1)
     trace = []
-    minimize_fixed_eps(mu, prof, grid2, SolveOptions(max_iter=300),
+    minimize_fixed_eps(mu, prof, SolveOptions(max_iter=300),
                        energy_trace=trace)
     diffs = np.diff(np.array(trace))
     assert np.all(diffs <= 0.0)
@@ -91,7 +92,7 @@ def test_energy_monotone_along_descent(grid2):
 def test_stationarity_el_identity(grid2):
     mu = density_measure(lambda U: 1 + 0.3 * U[:, 0] + 0.2 * U[:, 1], grid2)
     prof = build_profile(-0.5, 2, 0.05)
-    body, xi, rec = minimize_fixed_eps(mu, prof, grid2, SolveOptions())
+    body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions())
     assert rec.converged
     r, lam = el_residual(body, xi, mu, prof)
     assert np.max(np.abs(r)) <= 1e-6 * lam
@@ -101,7 +102,7 @@ def test_outer_gradient_matches_finite_differences(grid2):
     mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
     prof = build_profile(0.5, 2, 0.1)
     # walk a few steps from the ball to reach a generic iterate
-    body, xi, rec = minimize_fixed_eps(mu, prof, grid2, SolveOptions(max_iter=25))
+    body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions(max_iter=25))
     h = body.support_values.copy()
     _, _, F0, r0, _ = evaluate_offsets(mu, prof, h)
     rng = np.random.default_rng(67)
@@ -159,8 +160,28 @@ def test_solve_g_invariance():
     M, report = solve(mu, 0.5)
     assert report.converged
     h = M.support_values
-    for pi in grid.permutations:
+    for pi in mu.permutations:
         assert np.max(np.abs(h[pi] - h)) <= 1e-6
+
+
+def test_solve_descends_on_the_measure_group_not_the_grid_group():
+    # the grid is closed under D4 but the masses are invariant only under
+    # {I, -I}; averaging the gradient over D4 stalls the descent
+    grid = build_grid(2, 256, symmetry=dihedral_group())
+    ang = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+    f = 1.0 + 0.3 * np.cos(2 * ang) + 0.2 * np.sin(2 * ang)
+    mu = SphericalMeasure(grid, f * grid.weights,
+                          group=[np.eye(2), -np.eye(2)])
+    M, report = solve(mu, 0.5, SolveOptions(max_iter=300))
+    assert report.converged
+    assert report.residual_l1 <= 1e-3
+
+
+def test_solve_rejects_closed_hemisphere_support(grid2):
+    mu = density_measure(lambda U: np.where(U[:, 0] >= -1e-12, 1.0, 0.0),
+                         grid2)
+    with pytest.raises(HypothesisError, match="lpmink symmetrize"):
+        solve(mu, 0.5)
 
 
 def test_solve_report_structure(grid2):
@@ -215,8 +236,8 @@ def test_touch_mass_zero_for_smooth_density(grid2):
 
 
 def test_solve_invariant_measure_without_grid_permutations(grid2):
-    # a group-annotated measure on a plain grid falls back to unconstrained
-    # descent and still solves
+    # a plain grid closed under the measure's group: descent follows the
+    # measure's group, so the solution is invariant under it
     def f(U):
         ang = np.arctan2(U[:, 1], U[:, 0])
         return 1.0 + 0.3 * np.cos(4 * ang)
@@ -227,3 +248,6 @@ def test_solve_invariant_measure_without_grid_permutations(grid2):
     M, report = solve(mu, 0.5)
     assert report.converged
     assert report.residual_l1 <= 0.01
+    h = M.support_values
+    for pi in mu.permutations:
+        assert np.max(np.abs(h[pi] - h)) <= 1e-6

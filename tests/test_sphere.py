@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import dihedral_group
+from lpmink.measures import SphericalMeasure
 from lpmink.sphere import (DirectionGrid, GridError, build_grid, sphere_area,
                            unit_ball_volume)
 
@@ -61,7 +62,8 @@ def test_symmetrized_grid_is_orbit_closed():
         d, _ = tree.query(g.nodes @ np.asarray(A).T)
         assert d.max() < 1e-10
     assert abs(g.weights.sum() - sphere_area(2)) < 1e-12
-    assert g.permutations is not None and len(g.permutations) == 8
+    mu = SphericalMeasure(g, g.weights, group=group)
+    assert mu.permutations is not None and len(mu.permutations) == 8
 
 
 def test_symmetrized_grid_n3_expands():
@@ -77,11 +79,12 @@ def test_symmetrized_grid_n3_expands():
 
 def test_orbit_average_is_projection():
     g = build_grid(2, 64, symmetry=dihedral_group())
+    mu = SphericalMeasure(g, g.weights, group=dihedral_group())
     rng = np.random.default_rng(3)
     v = rng.normal(size=len(g))
-    av = g.orbit_average(v)
-    assert np.allclose(g.orbit_average(av), av, atol=1e-12)
-    for pi in g.permutations:
+    av = mu.orbit_average(v)
+    assert np.allclose(mu.orbit_average(av), av, atol=1e-12)
+    for pi in mu.permutations:
         assert np.allclose(av[pi], av, atol=1e-12)
 
 
