@@ -207,9 +207,12 @@ def cmd_solve(cfg, outdir):
     opts = _solve_options(cfg)
     try:
         M, report = solve(measure, p, opts)
-    except (SolverError, CenterError) as exc:
+    except (HypothesisError, SolverError, CenterError) as exc:
         _dump_json(outdir / "report.json",
                    {"command": "solve", "error": str(exc), "seed": cfg.get("seed", 0)})
+        if isinstance(exc, HypothesisError):
+            sys.stderr.write("hypothesis check failed: %s\n" % exc)
+            return EXIT_HYPOTHESIS
         return EXIT_NONCONVERGED
     payload = report.to_dict()
     payload.update({"command": "solve", "n": n, "seed": cfg.get("seed", 0)})

@@ -5,12 +5,13 @@ in dimension 2 or 3 by polarity: translate by an interior point (the
 Chebyshev center unless a hint is feasible), dualize, and take one convex
 hull of the dual points. That hull holds the whole body: each dual facet is
 a vertex, each dual hull vertex is an active constraint (a facet), and
-neighbouring dual facets span the edges. Facet areas, volume and centroid
-are read off this structure; active constraints keep their offsets as
-support values.
+neighbouring dual facets span the edges. Facet areas, volume, centroid and
+the ridges where two facets meet are read off this structure; active
+constraints keep their offsets as support values.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -53,11 +54,11 @@ def chebyshev_center(normals, offsets):
 
 
 def _polygon_from_dual(normals, shifted, dual_hull):
-    """Vertices, edge lengths, area and centroid of a polygon, from its dual.
+    """Vertices, edge lengths, area, centroid and ridges of a polygon.
 
     The dual hull's vertices are the active lines in counter-clockwise
-    order; each consecutive pair meets in a vertex. Coordinates are relative
-    to the interior point the dual was taken about.
+    order; each consecutive pair meets in a vertex, a ridge of measure 1.
+    Coordinates are relative to the interior point the dual was taken about.
     """
     a = dual_hull.vertices
     b = np.roll(a, -1)
@@ -74,7 +75,7 @@ def _polygon_from_dual(normals, shifted, dual_hull):
     centroid = cross @ (prev + vertices) / (6.0 * area)
     facet_areas = np.zeros(len(normals))
     facet_areas[a] = np.hypot(*(vertices - prev).T)
-    return vertices, facet_areas, area, centroid
+    return vertices, facet_areas, area, centroid, (np.column_stack([a, b]), None)
 
 
 def _facet_sums(facet, values, m):
@@ -83,12 +84,12 @@ def _facet_sums(facet, values, m):
 
 
 def _polytope_from_dual(shifted, dual_hull):
-    """Vertices, facet areas, volume and centroid of a polytope, from its dual.
+    """Vertices, facet areas, volume, centroid and ridges of a polytope.
 
     Each dual triangle is a vertex; Qhull's triangulated output ('Qt') gives
     every triangle cut from one dual facet the same hyperplane bit for bit,
     so equal hyperplanes are one vertex. Neighbouring triangles with distinct
-    vertices span an edge, which lies on the two facets at the shared dual
+    vertices span an edge, the ridge of the two facets at the shared dual
     edge. Coordinates are relative to the interior point the dual was taken
     about.
     """
@@ -114,7 +115,8 @@ def _polytope_from_dual(shifted, dual_hull):
     if volume <= 0:
         raise WulffError("degenerate polytope (nonpositive volume)")
     centroid = 0.25 * (shifted @ moments) / volume
-    return vertices, facet_areas, volume, centroid
+    return vertices, facet_areas, volume, centroid, (
+        facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]]))
 
 
 class Body:
@@ -135,10 +137,15 @@ class Body:
     centroid : ndarray, shape (dim,)
     support_values : ndarray, shape (m,)
         True support h(u_i) of the intersection; always <= offsets.
+    ridges : (ndarray (r, 2), ndarray (r, 2) or None) or None
+        The pairs (i, j) of facets that meet in a ridge, a (dim-2)-face,
+        and for dim = 3 the indices into ``vertices`` of each ridge's two
+        ends (a polygon's ridge is one vertex); None when the body was not
+        built by wulff_shape.
     """
 
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
-                 centroid, support_values, validate=True):
+                 centroid, support_values, validate=True, ridges=None):
         self.dim = dim
         self.normals = normals
         self.offsets = offsets
@@ -147,6 +154,7 @@ class Body:
         self.volume = volume
         self.centroid = centroid
         self.support_values = support_values
+        self.ridges = ridges
         if validate:
             self._check_invariants()
 
@@ -200,7 +208,8 @@ class Body:
         return Body(self.dim, self.normals, self.offsets * lam,
                     self.vertices * lam, self.facet_areas * lam ** (self.dim - 1),
                     self.volume * lam ** self.dim, self.centroid * lam,
-                    self.support_values * lam, validate=False)
+                    self.support_values * lam, validate=False,
+                    ridges=self.ridges)
 
     def translated(self, t):
         """The body K + t."""
@@ -209,7 +218,8 @@ class Body:
         return Body(self.dim, self.normals, self.offsets + shift,
                     self.vertices + t, self.facet_areas,
                     self.volume, self.centroid + t,
-                    self.support_values + shift, validate=False)
+                    self.support_values + shift, validate=False,
+                    ridges=self.ridges)
 
     def to_dict(self):
         return {
@@ -265,10 +275,10 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
     if dim == 2:
-        vertices, facet_areas, volume, centroid = _polygon_from_dual(
+        vertices, facet_areas, volume, centroid, ridges = _polygon_from_dual(
             normals, shifted, dual_hull)
     else:
-        vertices, facet_areas, volume, centroid = _polytope_from_dual(
+        vertices, facet_areas, volume, centroid, ridges = _polytope_from_dual(
             shifted, dual_hull)
     if len(vertices) <= dim:
         raise WulffError("degenerate intersection (fewer than %d vertices)"
@@ -281,7 +291,42 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     support_values[inactive] = np.max(vertices @ normals[inactive].T, axis=0)
     return Body(dim, normals, offsets.copy(), vertices, facet_areas,
                 float(volume), centroid + center, support_values,
-                validate=validate)
+                validate=validate, ridges=ridges)
+
+
+def facet_jacobian(body):
+    """Sparse (m, m) matrix of the facet-area derivatives dS_i/dh_j.
+
+    Moving facet j out by dh sweeps each ridge it shares with facet i, of
+    measure l_ij (1 in the plane, the edge length in space), across facet
+    i's plane, so for neighbours
+
+        dS_i/dh_j = l_ij / sin(theta_ij),
+        dS_i/dh_i = -sum_j l_ij cot(theta_ij),
+
+    with theta_ij the angle between the normals; facets that share no
+    ridge do not interact. Read off the ridges wulff_shape recorded.
+    """
+    if body.ridges is None:
+        raise GeometryError("facet_jacobian needs a body built by wulff_shape")
+    pairs, ends = body.ridges
+    i, j = pairs.T
+    ui, uj = body.normals[i], body.normals[j]
+    cos = np.einsum("ij,ij->i", ui, uj)
+    if body.dim == 2:
+        sin = np.abs(ui[:, 0] * uj[:, 1] - ui[:, 1] * uj[:, 0])
+        off = 1.0 / sin
+    else:
+        sin = np.linalg.norm(np.cross(ui, uj), axis=1)
+        ell = np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]],
+                             axis=1)
+        off = ell / sin
+    m = len(body.normals)
+    diag = -np.bincount(np.concatenate([i, j]), np.tile(off * cos, 2), minlength=m)
+    rows = np.concatenate([i, j, np.arange(m)])
+    cols = np.concatenate([j, i, np.arange(m)])
+    return sparse.csr_matrix((np.concatenate([off, off, diag]), (rows, cols)),
+                             shape=(m, m))
 
 
 def support(body, u):

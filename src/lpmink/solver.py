@@ -5,16 +5,34 @@ measure's grid by projected gradient descent on the offset vector, with the
 optimal center recomputed at every iterate. Stationarity is the discrete
 Euler-Lagrange identity phi_eps'(h - <u, xi>) mu = lambda_eps S; the
 continuation drives eps to zero and the final body is rescaled by the
-multiplier to match the prescribed measure.
+multiplier to match the prescribed measure. A damped Newton finish on the
+unregularized discrete equation h^(1-p) S = mu, tried at checkpoints of the
+descent, replaces the rest of the continuation once it succeeds.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from lpmink.energy import CenterError, build_profile, optimal_center
-from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
+from lpmink.geometry import (GeometryError, WulffError, facet_jacobian,
+                             lp_surface_area_measure, wulff_shape)
 from lpmink.measures import HypothesisError, positive_hull_check
+
+#: verify's residual_l1 at which the Newton finish stops and counts as
+#: converged
+FINISH_TOL = 1e-10
+#: finish attempts at decade checkpoints per solve (the end of every stage
+#: is tried as well), Newton steps per attempt, and step halvings per line
+#: search; they bound what a finish that keeps failing can cost
+FINISH_ATTEMPTS = 4
+FINISH_STEPS = 40
+FINISH_HALVINGS = 30
+#: support margin, relative to the mean, that makes every facet active
+FINISH_MARGIN = 1e-2
 
 
 class SolverError(RuntimeError):
@@ -46,15 +64,27 @@ class SolveOptions:
 
 @dataclass
 class StageRecord:
+    """One continuation stage, or the Newton finish.
+
+    A descent stage counts its accepted steps in ``iterations``. The
+    finish's record comes last, with ``iterations`` 0, the Newton steps in
+    ``newton_steps`` and the l1 residual it reached in ``residual_l1``; its
+    Euler-Lagrange data (``residual`` None when the optimal center cannot
+    be found) belong to the finished body, normalized to volume one, at
+    the schedule's final eps.
+    """
+
     eps: float
     iterations: int
     residual: float
     lambda_eps: float
     energy: float
     converged: bool
+    newton_steps: int = None
+    residual_l1: float = None
 
     def to_dict(self):
-        return {
+        data = {
             "eps": self.eps,
             "iterations": self.iterations,
             "residual": self.residual,
@@ -62,12 +92,17 @@ class StageRecord:
             "energy": self.energy,
             "converged": self.converged,
         }
+        if self.newton_steps is not None:
+            data.update(newton_steps=self.newton_steps,
+                        residual_l1=self.residual_l1)
+        return data
 
 
 @dataclass
 class SolveReport:
     p: float
     stages: list = field(default_factory=list)
+    newton_attempts: int = 0
     lambda0: float = np.nan
     lam: float = np.nan
     touch_mass: float = 0.0
@@ -79,6 +114,7 @@ class SolveReport:
         return {
             "p": self.p,
             "stages": [s.to_dict() for s in self.stages],
+            "newton_attempts": self.newton_attempts,
             "lambda0": self.lambda0,
             "lambda": self.lam,
             "touch_mass": self.touch_mass,
@@ -136,8 +172,128 @@ def evaluate_offsets(measure, profile, h, xi0=None, validate=True):
     return body, xi, energy, r, lambda_eps
 
 
+def _multiplier_scale(lambda0, p, n):
+    """The factor lambda that takes the volume-one limit body to M."""
+    if p == 0:
+        return lambda0 ** (1.0 / n)
+    return (lambda0 / abs(p)) ** (1.0 / (n - p))
+
+
+def _finish_state(measure, p, s, hint):
+    """Body and F(s) = (1-p) s + log S(e^s) - log mu at log-support s.
+
+    Returns None when the Wulff shape fails or a facet is inactive, where
+    log S is undefined.
+    """
+    h = np.exp(s)
+    if not np.all(np.isfinite(h)):
+        return None
+    try:
+        body = wulff_shape(measure.dim, measure.grid.nodes, h, validate=False,
+                           interior_hint=hint)
+    except WulffError:
+        return None
+    if not np.all(body.facet_areas > 0):
+        return None
+    F = (1.0 - p) * s + np.log(body.facet_areas) - np.log(measure.masses)
+    return body, F
+
+
+def newton_finish(measure, p, h):
+    """Damped Newton on the discrete Lp equation h^(1-p) S(h) = mu.
+
+    The origin stays fixed and the unknowns are the log-supports s = log h,
+    so F(s) = (1-p) s + log S(e^s) - log mu and
+
+        J = (1-p) I + diag(1/S) (dS/dh) diag(h),
+
+    with dS/dh from ``facet_jacobian``. ``h`` must be positive. When some
+    facet of its Wulff shape is inactive, every offset first gains
+    FINISH_MARGIN times their mean, which adds a circumscribed polytope
+    and makes every facet active. Steps are backtracked on |F|^2 and a
+    trial point with an inactive facet is rejected; for a measure with a
+    group the step is orbit-averaged. Stops when verify's residual_l1 is at
+    most FINISH_TOL.
+
+    Returns (body, steps, residual_l1) on success and None when the Wulff
+    shape degenerates, the line search fails or FINISH_STEPS run out.
+    """
+    h = np.asarray(h, dtype=float)
+    total = measure.total_mass
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        # a singular Jacobian surfaces as a non-finite step
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        s = np.log(h)
+        state = _finish_state(measure, p, s, None)
+        if state is None:
+            s = np.log(h + FINISH_MARGIN * float(np.mean(h)))
+            state = _finish_state(measure, p, s, None)
+        if state is None:
+            return None
+        body, F = state
+        t = 1.0
+        for steps in range(FINISH_STEPS + 1):
+            sp = lp_surface_area_measure(body, p)
+            l1 = float(np.abs(sp - measure.masses).sum() / total)
+            if l1 <= FINISH_TOL:
+                try:
+                    body._check_invariants()
+                except GeometryError:
+                    return None
+                return body, steps, l1
+            if steps == FINISH_STEPS:
+                return None
+            hs = body.support_values
+            J = (sparse.diags(1.0 / body.facet_areas) @ facet_jacobian(body)
+                 @ sparse.diags(hs) + (1.0 - p) * sparse.identity(len(hs)))
+            ds = measure.orbit_average(spsolve(J.tocsc(), -F))
+            if not np.all(np.isfinite(ds)):
+                return None
+            merit = float(F @ F)
+            t = min(1.0, 2.0 * t)
+            for _ in range(FINISH_HALVINGS):
+                trial = _finish_state(measure, p, s + t * ds, body.centroid)
+                if trial is not None and \
+                        float(trial[1] @ trial[1]) <= (1.0 - 1e-4 * t) * merit:
+                    break
+                t *= 0.5
+            else:
+                return None
+            s = s + t * ds
+            body, F = trial
+
+
+class _Finisher:
+    """Newton-finish attempts of one solve, from rescaled descent iterates.
+
+    Calling it with a volume-one iterate, its optimal center and its
+    multiplier starts Newton at the multiplier-rescaled body centered
+    there; the first success is kept in ``body``. Past FINISH_ATTEMPTS
+    attempts only a stage's last iterate is tried.
+    """
+
+    def __init__(self, measure, p):
+        self.measure, self.p = measure, p
+        self.attempts = 0
+        self.body = None
+        self.steps = None
+        self.residual_l1 = None
+
+    def __call__(self, body, xi, lambda_eps, last):
+        if self.attempts >= FINISH_ATTEMPTS and not last:
+            return False
+        self.attempts += 1
+        lam = _multiplier_scale(lambda_eps, self.p, body.dim)
+        result = newton_finish(self.measure, self.p,
+                               lam * (body.support_values - body.normals @ xi))
+        if result is None:
+            return False
+        self.body, self.steps, self.residual_l1 = result
+        return True
+
+
 def minimize_fixed_eps(measure, profile, opts=None, h0=None,
-                       energy_trace=None, xi0=None):
+                       energy_trace=None, xi0=None, finish=None):
     """Projected gradient descent for the fixed-eps minimum body.
 
     At each iterate the offsets are renormalized to volume one, the optimal
@@ -152,6 +308,13 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     receives the energy of every accepted iterate, in order. ``xi0`` warm
     starts the first center computation (continuation stages reuse the
     previous stage's center).
+
+    ``finish(body, xi, lambda_eps, last) -> bool`` is called at
+    checkpoints: the first iterate with max |r| <= 0.1 lambda_eps, the
+    first of each later decade, and the stage's last iterate, where
+    ``last`` is True. It must leave its arguments alone; when it returns
+    True the stage stops at that iterate. The descent itself does not
+    depend on it.
     """
     opts = opts or SolveOptions()
     h = (np.ones(len(measure.grid)) if h0 is None
@@ -167,16 +330,24 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     prev_h = None
     prev_dir = None
 
-    def finish(iters, res, converged):
+    def record(iters, res, converged):
         body._check_invariants()
         return body, xi, StageRecord(profile.eps, iters, res / lam, lam,
                                      energy, converged)
 
+    checkpoint = 0.1
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         res = float(np.max(np.abs(r)))
         if res <= opts.tol * lam:
-            return finish(iterations - 1, res, True)
+            if finish is not None:
+                finish(body, xi, lam, True)
+            return record(iterations - 1, res, True)
+        if finish is not None and res <= checkpoint * lam:
+            if finish(body, xi, lam, False):
+                return record(iterations - 1, res, False)
+            checkpoint = min(0.1 * checkpoint,
+                             10.0 ** np.floor(np.log10(res / lam)))
         if prev_h is not None:
             dh = h - prev_h
             dg = direction - prev_dir
@@ -216,7 +387,9 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
                               % opts.max_diameter, body)
 
     res = float(np.max(np.abs(r)))
-    return finish(iterations, res, False)
+    if finish is not None:
+        finish(body, xi, lam, True)
+    return record(iterations, res, False)
 
 
 def solve(measure, p, opts=None):
@@ -228,6 +401,15 @@ def solve(measure, p, opts=None):
 
         lambda = (lambda0 / |p|)^(1/(n-p))   for p != 0,
         lambda = lambda0^(1/n)               for p = 0.
+
+    When every mass is positive, ``newton_finish`` is tried at the
+    descent's checkpoints, from the iterate rescaled this way about its
+    optimal center: at most FINISH_ATTEMPTS times before a stage's end,
+    and at the end of every stage. The first success ends
+    the continuation: M is the finished body, the report's last stage is
+    the finish's record and the solve counts as converged. The attempts
+    leave the descent alone, so when all of them fail the result is the
+    descent's, bit for bit, and converged means every stage converged.
 
     The supported regime is a discrete density bounded between positive
     constants; measures with vanishing or unbounded density should first go
@@ -245,6 +427,8 @@ def solve(measure, p, opts=None):
                               "symmetrize the measure first (lpmink symmetrize)")
 
     report = SolveReport(p=p)
+    # log mu is undefined at a zero mass, so such a measure gets no finish
+    finisher = _Finisher(measure, p) if np.all(measure.masses > 0) else None
     h = None
     body = None
     xi = None
@@ -253,8 +437,10 @@ def solve(measure, p, opts=None):
         eps_k = opts.eps0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
         body, xi, record = minimize_fixed_eps(measure, profile, opts, h0=h,
-                                              xi0=xi)
+                                              xi0=xi, finish=finisher)
         report.stages.append(record)
+        if finisher is not None and finisher.body is not None:
+            break
         h = body.support_values.copy()
         if len(report.stages) >= 2:
             prev = report.stages[-2]
@@ -268,30 +454,61 @@ def solve(measure, p, opts=None):
             break
         prev_support = h.copy()
 
-    # the limit identity holds for the body recentered at its optimal center
-    centered = body.translated(-xi)
+    eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
+    finished = finisher is not None and finisher.body is not None
+    if finished:
+        M = finisher.body
+        lam = M.volume ** (1.0 / n)
+        lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
+        centered = M.scaled(1.0 / lam)
+        report.stages.append(_finish_record(finisher, centered, measure, p,
+                                            eps_scheduled, opts.tol))
+    else:
+        # the limit identity holds for the body recentered at its optimal
+        # center
+        centered = body.translated(-xi)
+        lambda0 = report.stages[-1].lambda_eps
+        lam = _multiplier_scale(lambda0, p, n)
+        M = centered.scaled(lam)
+    report.newton_attempts = 0 if finisher is None else finisher.attempts
     # touch detection is calibrated to the scheduled final eps even when the
     # continuation stopped early on body_tol
-    eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
     touch_threshold = (10.0 * eps_scheduled if opts.touch_threshold is None
                        else opts.touch_threshold)
     touching = centered.support_values < touch_threshold
     report.touch_mass = float(measure.masses[touching].sum())
-
-    lambda0 = report.stages[-1].lambda_eps
     report.lambda0 = lambda0
-    if p == 0:
-        lam = lambda0 ** (1.0 / n)
-    else:
-        lam = (lambda0 / abs(p)) ** (1.0 / (n - p))
     report.lam = float(lam)
-    M = centered.scaled(lam)
-    report.converged = all(s.converged for s in report.stages)
+    report.converged = finished or all(s.converged for s in report.stages)
 
     res_l1, res_linf, _ = verify(M, measure, p)
     report.residual_l1 = res_l1
     report.residual_linf = res_linf
     return M, report
+
+
+def _finish_record(finisher, body, measure, p, eps, tol):
+    """StageRecord of a successful finish; ``body`` is its volume-one body.
+
+    The Euler-Lagrange data are recomputed at the optimal center for the
+    profile at ``eps``; the record is stationary when max |r| <= tol
+    lambda_eps, as for a descent stage.
+    """
+    profile = build_profile(p, body.dim, eps)
+    try:
+        # a support value far below eps overflows the barrier's derivatives
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi, _, _ = optimal_center(body, measure, profile,
+                                      x0=np.zeros(body.dim))
+            r, lambda_eps = el_residual(body, xi, measure, profile)
+        energy = float(np.sum(profile.phi(body.support_values - body.normals @ xi)
+                              * measure.masses))
+        residual = float(np.max(np.abs(r))) / lambda_eps
+    except (CenterError, SolverError):
+        residual = lambda_eps = energy = None
+    return StageRecord(eps, 0, residual, lambda_eps, energy,
+                       residual is not None and residual <= tol,
+                       finisher.steps, finisher.residual_l1)
 
 
 def verify(M, measure, p):

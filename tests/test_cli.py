@@ -168,6 +168,9 @@ def test_solve_closed_hemisphere_support_exits_2(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["solve", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["command"] == "solve" and report["seed"] == 0
+    assert "closed hemisphere" in report["error"]
 
 
 def test_smooth_command(tmp_path):
@@ -208,7 +211,7 @@ def test_malformed_config_exits_1(tmp_path):
 
 def test_solver_nonconvergence_exits_3(tmp_path):
     cfg = {
-        "n": 2, "p": 0.5,
+        "n": 2, "p": -1.99,
         "measure": {"density": "dipole", "params": {"a": 0.4}},
         "grid": {"resolution": 256},
         "solver": {"max_iter": 3, "stages": 2},
@@ -218,6 +221,27 @@ def test_solver_nonconvergence_exits_3(tmp_path):
     code = run_cli(["solve", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)])
     assert code == 3
+
+
+def test_solve_dipole_n2048_converges(tmp_path):
+    # the descent alone takes 5000 iterations here and exits 3
+    cfg = {
+        "n": 2, "p": -1.0,
+        "measure": {"density": "dipole", "params": {"a": 0.4}},
+        "grid": {"resolution": 2048},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code = run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["residual_l1"] <= 1e-10
+    assert report["newton_attempts"] >= 1
+    assert report["stages"][-1]["newton_steps"] >= 1
 
 
 def test_reports_are_byte_reproducible(tmp_path):

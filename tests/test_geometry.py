@@ -8,9 +8,10 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from conftest import random_polygon, random_polytope
-from lpmink.geometry import (GeometryError, WulffError, body_stats,
-                             body_to_off, lp_surface_area_measure,
-                             santalo_quadrature, support, wulff_shape)
+from lpmink.geometry import (Body, GeometryError, WulffError, body_stats,
+                             body_to_off, facet_jacobian,
+                             lp_surface_area_measure, santalo_quadrature,
+                             support, wulff_shape)
 from lpmink.sphere import unit_ball_volume
 
 SQUARE_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -90,6 +91,54 @@ def test_wulff_matches_hull_of_its_vertices(dim, k, seed, spread, hinted):
     assert np.allclose(body.centroid, centroid, rtol=0, atol=1e-9)
     assert np.allclose(body.facet_areas, areas, rtol=0,
                        atol=1e-9 * areas.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), k=st.integers(6, 40),
+       seed=st.integers(0, 2**32 - 1), margin=st.floats(0.05, 0.5))
+def test_facet_jacobian_matches_central_differences(dim, k, seed, margin):
+    # offsets of a random polytope plus a margin: the Wulff shape is that
+    # polytope plus a circumscribed one, so no vertex lies on more than dim
+    # facets and the areas are smooth in the offsets
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(k, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    points = rng.uniform(-0.5, 0.5, size=(dim + 3, dim))
+    offsets = np.max(normals @ points.T, axis=1) + margin
+    try:
+        body = wulff_shape(dim, normals, offsets)
+    except WulffError:
+        assume(False)
+    jac = facet_jacobian(body).toarray()
+    d = 1e-6
+    # the combinatorics must survive the perturbation: no facet or ridge
+    # may vanish and no inactive constraint may touch the body
+    reach = 10 * d * np.abs(jac).sum(axis=1)
+    active = body.facet_areas > 0
+    assume(np.all(body.facet_areas[active] > reach[active]))
+    assume(np.all(offsets[~active] - body.support_values[~active] > 10 * d))
+    if dim == 3:
+        ends = body.ridges[1]
+        assume(np.min(np.linalg.norm(body.vertices[ends[:, 0]]
+                                     - body.vertices[ends[:, 1]], axis=1))
+               > reach.max())
+    fd = np.empty((k, k))
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = d
+        fd[:, j] = (wulff_shape(dim, normals, offsets + e).facet_areas
+                    - wulff_shape(dim, normals, offsets - e).facet_areas) / (2 * d)
+    assert np.allclose(jac, fd, rtol=0, atol=1e-7 * np.abs(jac).max())
+
+
+def test_facet_jacobian_of_square_and_bare_body():
+    body = wulff_shape(2, SQUARE_NORMALS, np.ones(4))
+    assert facet_jacobian(body).toarray() == pytest.approx(
+        np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]))
+    bare = Body(2, body.normals, body.offsets, body.vertices, body.facet_areas,
+                body.volume, body.centroid, body.support_values)
+    with pytest.raises(GeometryError):
+        facet_jacobian(bare)
 
 
 def test_wall_duplicating_a_grid_normal_owns_its_edge():

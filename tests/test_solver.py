@@ -6,7 +6,8 @@ from lpmink.energy import build_profile, energy, optimal_center
 from lpmink.geometry import lp_surface_area_measure, wulff_shape
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete)
-from lpmink.solver import (SolveOptions, SolverError, el_residual,
+from lpmink import solver
+from lpmink.solver import (FINISH_TOL, SolveOptions, SolverError, el_residual,
                            evaluate_offsets, minimize_fixed_eps, solve, verify)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area, unit_ball_volume
 
@@ -251,3 +252,98 @@ def test_solve_invariant_measure_without_grid_permutations(grid2):
     h = M.support_values
     for pi in mu.permutations:
         assert np.max(np.abs(h[pi] - h)) <= 1e-6
+
+
+def test_finish_checkpoints_leave_the_descent_unchanged(grid2):
+    # a finish that always fails sees the first iterate with max |r| <=
+    # 0.1 lambda, the first of each later decade and the last iterate, and
+    # the descent is bit-identical to one without it
+    mu = density_measure(lambda U: 1 + 0.5 * U[:, 0], grid2)
+    prof = build_profile(0.5, 2, 0.1)
+    opts = SolveOptions(max_iter=300)
+    trace, ftrace, seen = [], [], []
+
+    def failing(body, xi, lam, last):
+        r, _ = el_residual(body, xi, mu, prof)
+        seen.append(float(np.max(np.abs(r))) / lam)
+        return False
+
+    body, xi, rec = minimize_fixed_eps(mu, prof, opts, energy_trace=trace)
+    fbody, fxi, frec = minimize_fixed_eps(mu, prof, opts, finish=failing,
+                                          energy_trace=ftrace)
+    assert fbody.support_values.tobytes() == body.support_values.tobytes()
+    assert fxi.tobytes() == xi.tobytes()
+    assert frec == rec and ftrace == trace
+    decades = np.floor(np.log10(seen[:-1]))
+    assert seen[0] <= 0.1 and np.all(np.diff(decades) < 0)
+    assert seen[-1] == pytest.approx(rec.residual, rel=1e-9)
+
+
+def test_solve_with_failing_finish_is_the_descent(grid2, monkeypatch):
+    mu = density_measure(lambda U: 1 + 0.2 * U[:, 0], grid2)
+    monkeypatch.setattr(solver, "newton_finish", lambda *args: None)
+    M, report = solve(mu, 0.5)
+    assert report.newton_attempts >= 1
+    assert all(s.newton_steps is None for s in report.stages)
+    assert report.converged == all(s.converged for s in report.stages)
+    assert 1e-6 < report.residual_l1 <= 1e-3
+
+
+def test_finish_record_is_honest(grid2):
+    mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
+    opts = SolveOptions()
+    M, report = solve(mu, -0.5, opts)
+    fin = report.stages[-1]
+    assert report.converged and report.newton_attempts >= 1
+    assert fin.iterations == 0 and fin.newton_steps >= 1
+    assert fin.residual_l1 == report.residual_l1 <= FINISH_TOL
+    eps_final = opts.eps0 * 2.0 ** (-(opts.stages - 1))
+    assert fin.eps == eps_final
+    # the Euler-Lagrange data of the volume-one body at the final eps
+    prof = build_profile(-0.5, 2, eps_final)
+    K = M.scaled(1.0 / report.lam)
+    assert K.volume == pytest.approx(1.0, rel=1e-12)
+    xi, _, _ = optimal_center(K, mu, prof, x0=np.zeros(2))
+    r, lam = el_residual(K, xi, mu, prof)
+    assert fin.lambda_eps == pytest.approx(lam, rel=1e-12)
+    assert fin.residual == pytest.approx(np.max(np.abs(r)) / lam, abs=1e-15)
+    assert fin.converged and fin.residual <= 1e-9
+    data = fin.to_dict()
+    assert data["newton_steps"] == fin.newton_steps
+    assert "newton_steps" not in report.stages[0].to_dict()
+
+
+def test_finish_skips_measures_with_zero_masses(grid2):
+    # log mu is undefined at a zero mass
+    mu = density_measure(lambda U: np.where(U[:, 0] > -0.9, 1.0, 0.0), grid2)
+    M, report = solve(mu, 0.5, SolveOptions(max_iter=20, stages=2))
+    assert report.newton_attempts == 0
+    assert all(s.newton_steps is None for s in report.stages)
+
+
+def test_solve_dipole_near_p_one_reproduces_the_measure(grid2):
+    # the descent alone stalls at l1 0.10 here; the solution has support
+    # values near 1e-18, which only log-supports can reach
+    mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
+    M, report = solve(mu, 0.9)
+    assert report.converged
+    assert report.residual_l1 <= 1e-9
+    assert verify(M, mu, 0.9)[0] <= 1e-9
+    assert M.support_values.min() < 1e-12
+
+
+@pytest.mark.parametrize("n,p", [(2, 0.5), (2, 0.0), (2, -1.0), (2, -1.5),
+                                 (3, 0.5), (3, -1.0)])
+def test_solve_measure_scaling_law(grid2, grid3, n, p):
+    # solve(c mu) = c^(1/(n-p)) solve(mu) on the support values
+    grid = grid2 if n == 2 else grid3
+    f = (lambda U: 1 + 0.4 * U[:, 0]) if n == 2 else (lambda U: 1 + 0.3 * U[:, 0])
+    mu = density_measure(f, grid)
+    c = 2.7
+    cmu = SphericalMeasure(grid, c * mu.masses)
+    M1, r1 = solve(mu, p)
+    M2, r2 = solve(cmu, p)
+    assert r1.converged and r2.converged
+    assert max(r1.residual_l1, r2.residual_l1) <= FINISH_TOL
+    ratio = M2.support_values / (c ** (1.0 / (n - p)) * M1.support_values)
+    assert np.max(np.abs(ratio - 1.0)) <= 1e-9
