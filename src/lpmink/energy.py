@@ -256,7 +256,9 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
     warm start x0 is supplied. When the barrier curvature |A| is so large
     that float64 cannot express gradients below |A| * spacing(xi), hitting
     that machine floor counts as convergence (the returned grad_norm is
-    then the attainable one).
+    then the attainable one). When the energy's value stops resolving the
+    progress short of both, Newton continues backtracked on the gradient
+    norm.
     """
     masses = measure.masses
     total = float(masses.sum())
@@ -339,5 +341,27 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
     floor = float(np.linalg.norm(A, 2)) * (1.0 + float(np.linalg.norm(xi))) * 1e-15
     if gnorm <= max(tol * total, floor):
         return xi, gnorm, A
+    # the value stops resolving progress where phi_eps'' jumps, as at a
+    # bridge knot of a nearly flat profile; the energy is concave, so
+    # Newton steps backtracked on the gradient norm still converge
+    g, A = grad_hess(xi)
+    for _ in range(max_iter):
+        try:
+            step = -np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(100):
+            cand = xi + step
+            if body.interior_gap(cand) > 0:
+                gc, Ac = grad_hess(cand)
+                if float(np.linalg.norm(gc)) < gnorm:
+                    break
+            step = 0.5 * step
+        else:
+            break
+        xi, g, A = cand, gc, Ac
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tol * total:
+            return xi, gnorm, A
     raise CenterError("optimal center did not converge within machine limits "
                       "(grad %.2e, floor %.2e)" % (gnorm, floor))

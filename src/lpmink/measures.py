@@ -250,6 +250,22 @@ def _linear_span(dirs, tol=1e-9):
     return vt[:rank].T  # (n, rank)
 
 
+def _positive_hull_lp(dirs):
+    """Whether the origin is a strictly positive combination of dirs."""
+    k, n = dirs.shape
+    # max delta s.t. sum lambda_j u_j = 0, sum lambda = 1, lambda_j >= delta;
+    # with lambda_j = delta + s_j, s_j >= 0 the LP has n + 1 equality rows
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    A_eq = np.vstack([np.hstack([dirs.T, dirs.sum(axis=0)[:, None]]),
+                      np.append(np.ones(k), k)])
+    b_eq = np.zeros(n + 1)
+    b_eq[-1] = 1.0
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * k + [(None, None)], method="highs")
+    return bool(res.success and -res.fun > 1e-10)
+
+
 @dataclass
 class PositiveHullReport:
     passes: bool
@@ -266,26 +282,26 @@ def positive_hull_check(measure):
     positive hull of the support is a proper subset of L = lin supp.
     The positive hull equals L exactly when the origin lies in the
     relative interior of the convex hull of the support.
+
+    The projection lambda of the all-ones vector onto the null space of
+    the atoms, lambda_j = 1 + <a, d_j> with (D^T D) a = -D^T 1 for the
+    atoms D in span coordinates, is a certificate: sum lambda_j d_j = 0,
+    so a clearly positive lambda settles the question without the LP.
     """
     dirs, _ = _distinct_atoms(measure)
     n = measure.dim
     basis = _linear_span(dirs)
     L_dim = basis.shape[1]
 
-    k = len(dirs)
-    # max delta s.t. sum lambda_j u_j = 0, sum lambda = 1, lambda_j >= delta;
-    # with lambda_j = delta + s_j, s_j >= 0 the LP has n + 1 equality rows
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    A_eq = np.vstack([np.hstack([dirs.T, dirs.sum(axis=0)[:, None]]),
-                      np.append(np.ones(k), k)])
-    b_eq = np.zeros(n + 1)
-    b_eq[-1] = 1.0
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * k + [(None, None)], method="highs")
-    pos_equals_L = bool(res.success and -res.fun > 1e-10)
+    D = dirs @ basis
+    lam = 1.0 + D @ np.linalg.solve(D.T @ D, -D.sum(axis=0))
+    # with k = L_dim atoms lambda is 0 up to rounding, so the margin is
+    # absolute as well as relative
+    certified = (lam.min() > max(1e-6, 1e-8 * lam.sum())
+                 and np.linalg.norm(lam @ D) <= 1e-9 * lam.sum())
+    pos_equals_L = bool(certified) or _positive_hull_lp(dirs)
 
-    antipodal = (k == 2 and np.linalg.norm(dirs[0] + dirs[1]) <= 1e-9)
+    antipodal = (len(dirs) == 2 and np.linalg.norm(dirs[0] + dirs[1]) <= 1e-9)
     if L_dim == n:
         return PositiveHullReport(True, L_dim, pos_equals_L,
                                   detail="support spans the ambient space")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from lpmink.energy import CenterError, build_profile, optimal_center
@@ -207,13 +206,14 @@ def newton_finish(measure, p, h):
 
         J = (1-p) I + diag(1/S) (dS/dh) diag(h),
 
-    with dS/dh from ``facet_jacobian``. ``h`` must be positive. When some
-    facet of its Wulff shape is inactive, every offset first gains
-    FINISH_MARGIN times their mean, which adds a circumscribed polytope
-    and makes every facet active. Steps are backtracked on |F|^2 and a
-    trial point with an inactive facet is rejected; for a measure with a
-    group the step is orbit-averaged. Stops when verify's residual_l1 is at
-    most FINISH_TOL.
+    with dS/dh from ``facet_jacobian``. ``h`` must be positive, which puts
+    the origin inside the start's Wulff shape, so it is passed as the
+    interior hint in place of the Chebyshev LP. When some facet of that
+    Wulff shape is inactive, every offset first gains FINISH_MARGIN times
+    their mean, which adds a circumscribed polytope and makes every facet
+    active. Steps are backtracked on |F|^2 and a trial point with an
+    inactive facet is rejected; for a measure with a group the step is
+    orbit-averaged. Stops when verify's residual_l1 is at most FINISH_TOL.
 
     Returns (body, steps, residual_l1) on success and None when the Wulff
     shape degenerates, the line search fails or FINISH_STEPS run out.
@@ -223,11 +223,12 @@ def newton_finish(measure, p, h):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         # a singular Jacobian surfaces as a non-finite step
         warnings.simplefilter("ignore", MatrixRankWarning)
+        origin = np.zeros(measure.dim)
         s = np.log(h)
-        state = _finish_state(measure, p, s, None)
+        state = _finish_state(measure, p, s, origin)
         if state is None:
             s = np.log(h + FINISH_MARGIN * float(np.mean(h)))
-            state = _finish_state(measure, p, s, None)
+            state = _finish_state(measure, p, s, origin)
         if state is None:
             return None
         body, F = state
@@ -243,10 +244,14 @@ def newton_finish(measure, p, h):
                 return body, steps, l1
             if steps == FINISH_STEPS:
                 return None
-            hs = body.support_values
-            J = (sparse.diags(1.0 / body.facet_areas) @ facet_jacobian(body)
-                 @ sparse.diags(hs) + (1.0 - p) * sparse.identity(len(hs)))
-            ds = measure.orbit_average(spsolve(J.tocsc(), -F))
+            # J in place on facet_jacobian's canonical CSR, which stores
+            # each diagonal entry once
+            J = facet_jacobian(body)
+            rows = np.repeat(np.arange(len(F)), np.diff(J.indptr))
+            J.data *= (1.0 / body.facet_areas)[rows]
+            J.data *= body.support_values[J.indices]
+            J.data[J.indices == rows] += 1.0 - p
+            ds = measure.orbit_average(spsolve(J, -F))
             if not np.all(np.isfinite(ds)):
                 return None
             merit = float(F @ F)
@@ -307,7 +312,8 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     Returns (body, xi, StageRecord). When ``energy_trace`` is a list it
     receives the energy of every accepted iterate, in order. ``xi0`` warm
     starts the first center computation (continuation stages reuse the
-    previous stage's center).
+    previous stage's center); from the default unit offsets it defaults
+    to the origin.
 
     ``finish(body, xi, lambda_eps, last) -> bool`` is called at
     checkpoints: the first iterate with max |r| <= 0.1 lambda_eps, the
@@ -317,8 +323,14 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     depend on it.
     """
     opts = opts or SolveOptions()
-    h = (np.ones(len(measure.grid)) if h0 is None
-         else np.asarray(h0, dtype=float).copy())
+    if h0 is None:
+        # every unit-offset plane is at distance 1 from the origin, which
+        # spares the Chebyshev LP
+        h = np.ones(len(measure.grid))
+        if xi0 is None:
+            xi0 = np.zeros(measure.dim)
+    else:
+        h = np.asarray(h0, dtype=float).copy()
 
     body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0,
                                                 validate=False)
@@ -415,18 +427,23 @@ def solve(measure, p, opts=None):
     constants; measures with vanishing or unbounded density should first go
     through smoothing or symmetrization. A measure supported in a closed
     hemisphere raises HypothesisError before any descent: symmetrize it
-    with ``symmetrize_hemisphere`` first.
+    with ``symmetrize_hemisphere`` first. A subnormal p is solved as
+    p = 0, which it equals in double precision.
     """
     opts = opts or SolveOptions()
     n = measure.dim
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
+    report = SolveReport(p=p)
+    if abs(p) < np.finfo(float).tiny:
+        # a subnormal p underflows |p| t^(p-1), while h^(1-p) rounds to h:
+        # in double precision the problem is the p = 0 one
+        p = 0.0
     hull = positive_hull_check(measure)
     if hull.L_dim < n or not hull.pos_equals_L:
         raise HypothesisError("the support lies in a closed hemisphere; "
                               "symmetrize the measure first (lpmink symmetrize)")
 
-    report = SolveReport(p=p)
     # log mu is undefined at a zero mass, so such a measure gets no finish
     finisher = _Finisher(measure, p) if np.all(measure.masses > 0) else None
     h = None

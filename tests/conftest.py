@@ -52,6 +52,20 @@ def dihedral_group(order=4):
     return mats
 
 
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Make every LP of a solve or a check raise: the Chebyshev LP of
+    geometry and energy, and the positive-hull LP of measures."""
+    from lpmink import energy, geometry, measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was called")
+
+    monkeypatch.setattr(geometry, "linprog", refuse)
+    monkeypatch.setattr(measures, "linprog", refuse)
+    monkeypatch.setattr(energy, "chebyshev_center", refuse)
+
+
 @pytest.fixture(scope="session")
 def grid2():
     from lpmink.sphere import build_grid

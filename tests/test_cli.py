@@ -109,6 +109,15 @@ def test_check_default_n3_grid_finishes(tmp_path):
     assert report["subspace_concentration"]["satisfied"] is True
 
 
+def test_check_default_dipole_runs_no_lp(tmp_path, no_lp):
+    # the positive-hull pre-flight is certified without its LP
+    cfg = {"n": 2, "measure": {"density": "dipole"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["check", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+
+
 def test_identity_critical_case(tmp_path):
     cfg = {"n": 2, "p": -2.0, "ellipse": [1.5, 1.0]}
     cfg_path = tmp_path / "cfg.json"

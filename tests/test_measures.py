@@ -387,6 +387,34 @@ def _dense_positive_hull_lp(dirs):
     return bool(res.success and -res.fun > 1e-10)
 
 
+def _unit_circle_measure(angles):
+    nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+    grid = DirectionGrid(2, nodes, np.full(len(nodes), 2 * np.pi / len(nodes)))
+    return SphericalMeasure(grid, np.ones(len(nodes)))
+
+
+@pytest.mark.parametrize("angles,L_dim,pos_equals_L", [
+    # as many atoms as the span's dimension: the certificate is 0 up to
+    # rounding and must not pass
+    ([0.0, 1.0], 2, False),
+    # the closed half circle: the origin only combines its two end points
+    (np.linspace(0.0, np.pi, 33), 2, False),
+    ([0.3, 0.3 + np.pi], 1, True),
+])
+def test_positive_hull_certificate_edge_cases(angles, L_dim, pos_equals_L):
+    mu = _unit_circle_measure(np.asarray(angles))
+    report = positive_hull_check(mu)
+    assert (report.L_dim, report.pos_equals_L) == (L_dim, pos_equals_L)
+    assert report.pos_equals_L == _dense_positive_hull_lp(_distinct_atoms(mu)[0])
+
+
+@pytest.mark.parametrize("n,N", [(2, 256), (3, 500)])
+def test_positive_hull_of_default_grid_needs_no_lp(no_lp, n, N):
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], build_grid(n, N))
+    report = positive_hull_check(mu)
+    assert report.passes and report.pos_equals_L and report.L_dim == n
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        parts=st.lists(st.sampled_from(["random", "circle", "antipodal", "axes",

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dihedral_group
-from lpmink.energy import build_profile, energy, optimal_center
+from lpmink.energy import CenterError, build_profile, energy, optimal_center
 from lpmink.geometry import lp_surface_area_measure, wulff_shape
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete)
@@ -347,3 +349,63 @@ def test_solve_measure_scaling_law(grid2, grid3, n, p):
     assert max(r1.residual_l1, r2.residual_l1) <= FINISH_TOL
     ratio = M2.support_values / (c ** (1.0 / (n - p)) * M1.support_values)
     assert np.max(np.abs(ratio - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("n,a,p", [(2, 0.4, -1.0), (3, 0.3, 0.5)])
+def test_dipole_solve_runs_no_lp(grid2, grid3, no_lp, n, a, p):
+    # the pre-flight is certified, the descent starts at the origin and
+    # the finish passes the origin as its interior point
+    mu = density_measure(lambda U: 1 + a * U[:, 0], grid2 if n == 2 else grid3)
+    M, report = solve(mu, p)
+    assert report.converged
+    assert report.residual_l1 <= 1e-10
+
+
+@pytest.mark.parametrize("p", [0.5, -1.0, 0.9, -1.5])
+def test_solve_rotation_equivariance(grid2, p):
+    # turning the measure by k nodes of the circle grid turns the solution
+    masses = density_measure(
+        lambda U: 1 + 0.4 * U[:, 0] + 0.2 * U[:, 1] ** 2, grid2).masses
+    M, report = solve(SphericalMeasure(grid2, masses), p)
+    assert report.converged
+    for k in (1, 37, 128):
+        Mk, rk = solve(SphericalMeasure(grid2, np.roll(masses, k)), p)
+        assert rk.converged
+        ratio = Mk.support_values / np.roll(M.support_values, k)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([64, 128, 256]), p=st.floats(-1.5, 0.95),
+       terms=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2 * np.pi)),
+                      min_size=1, max_size=4))
+# the optimal center of the first iterate sits on a bridge knot of the
+# nearly flat profile, where the energy stops resolving Newton's progress
+@example(N=64, p=1.192092896e-07, terms=[(0.5, 0.0)])
+# |p| t^(p-1) underflows at a subnormal p
+@example(N=64, p=5e-324, terms=[(0.3, 1.0)])
+def test_solve_reproduces_random_smooth_densities(N, p, terms):
+    # 1 + sum_j a_j cos(j theta + phi_j) with sum |a_j| <= 1/2
+    amps = np.array([a for a, _ in terms])
+    amps *= min(1.0, 0.5 / max(amps.sum(), 1e-300))
+    phases = np.array([phi for _, phi in terms])
+    freqs = np.arange(1, len(terms) + 1)
+
+    def density(U):
+        theta = np.arctan2(U[:, 1], U[:, 0])
+        return 1 + np.cos(np.outer(theta, freqs) + phases) @ amps
+
+    mu = density_measure(density, build_grid(2, N))
+    M, report = solve(mu, p)
+    assert report.converged
+    assert verify(M, mu, p)[0] <= 1e-9
+
+
+@pytest.mark.xfail(raises=CenterError, strict=True,
+                   reason="the optimal center fails on the first iterate")
+@pytest.mark.parametrize("p", [0.5, -0.5])
+def test_solve_density_vanishing_on_an_arc(grid2, p):
+    # passes the hemisphere pre-flight, yet the descent never starts
+    mu = density_measure(lambda U: np.where(U[:, 0] > -0.5, 1.0, 0.0), grid2)
+    M, report = solve(mu, p)
+    assert report.converged
