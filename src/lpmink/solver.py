@@ -211,8 +211,13 @@ def newton_finish(measure, p, h):
     interior hint in place of the Chebyshev LP. When some facet of that
     Wulff shape is inactive, every offset first gains FINISH_MARGIN times
     their mean, which adds a circumscribed polytope and makes every facet
-    active. Steps are backtracked on |F|^2 and a trial point with an
-    inactive facet is rejected; for a measure with a group the step is
+    active. A step is halved until the mass-weighted merit sum_i mu_i F_i^2
+    or |F|^2 falls by the Armijo factor; the Newton direction descends
+    both. Weighting by mass keeps facets of tiny mass but large
+    log-residual, as where a smoothed density sits at its floor, from
+    holding every step down; accepting a fall in |F|^2 as well keeps the
+    n = 2 dipole at p = 0.99 well inside FINISH_STEPS. A trial point with
+    an inactive facet is rejected; for a measure with a group the step is
     orbit-averaged. Stops when verify's residual_l1 is at most FINISH_TOL.
 
     Returns (body, steps, residual_l1) on success and None when the Wulff
@@ -220,6 +225,8 @@ def newton_finish(measure, p, h):
     """
     h = np.asarray(h, dtype=float)
     total = measure.total_mass
+    # one row per merit: sum mu_i F_i^2 and |F|^2
+    weights = np.stack([measure.masses, np.ones(len(h))])
     with np.errstate(all="ignore"), warnings.catch_warnings():
         # a singular Jacobian surfaces as a non-finite step
         warnings.simplefilter("ignore", MatrixRankWarning)
@@ -254,12 +261,12 @@ def newton_finish(measure, p, h):
             ds = measure.orbit_average(spsolve(J, -F))
             if not np.all(np.isfinite(ds)):
                 return None
-            merit = float(F @ F)
+            merits = weights @ F ** 2
             t = min(1.0, 2.0 * t)
             for _ in range(FINISH_HALVINGS):
                 trial = _finish_state(measure, p, s + t * ds, body.centroid)
-                if trial is not None and \
-                        float(trial[1] @ trial[1]) <= (1.0 - 1e-4 * t) * merit:
+                if trial is not None and np.any(
+                        weights @ trial[1] ** 2 <= (1.0 - 1e-4 * t) * merits):
                     break
                 t *= 0.5
             else:
@@ -306,7 +313,9 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     h <- h_support - eta * r is backtracked until the energy decreases.
     For a measure with an invariance group the step direction is r averaged
     over the group's orbits, so the iterates stay invariant.
-    Step sizes follow a safeguarded Barzilai-Borwein rule. Terminates when
+    Step sizes follow a safeguarded Barzilai-Borwein rule; a trial step
+    where some antipodal pair of grid nodes has h_i + h_j <= 0 is halved
+    without building its empty Wulff shape. Terminates when
     max |r| <= opts.tol * lambda_eps or after opts.max_iter iterations.
 
     Returns (body, xi, StageRecord). When ``energy_trace`` is a list it
@@ -341,6 +350,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
     prev_h = None
     prev_dir = None
+    first, second = measure.grid._antipodes
 
     def record(iters, res, converged):
         body._check_invariants()
@@ -375,6 +385,11 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
         dir_norm2 = float(direction @ direction)
         for _ in range(60):
             cand = h - step * direction
+            if np.any(cand[first] + cand[second] <= 0):
+                # the halfspaces of an antipodal pair leave no interior,
+                # which wulff_shape would find only after the Chebyshev LP
+                step *= 0.5
+                continue
             try:
                 nbody, nxi, nenergy, nr, nlam = evaluate_offsets(
                     measure, profile, cand, xi0=xi, validate=False)

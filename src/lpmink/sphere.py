@@ -6,6 +6,7 @@ convex bodies are built as halfspace intersections over grid normals.
 """
 
 import json
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,6 +80,16 @@ class DirectionGrid:
     @property
     def total_weight(self):
         return float(self.weights.sum())
+
+    @cached_property
+    def _antipodes(self):
+        """Index arrays (i, j), i < j, of the antipodal node pairs.
+
+        Nodes i and j pair when |u_i + u_j| <= 1e-12.
+        """
+        d, j = self._tree.query(-self.nodes)
+        i = np.flatnonzero((d <= 1e-12) & (np.arange(len(j)) < j))
+        return i, j[i]
 
     def nearest_node(self, u):
         """Index of the grid node closest to direction u."""
