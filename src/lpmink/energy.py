@@ -194,11 +194,6 @@ def _validate_profile(profile):
         raise ProfileError("phi_eps must equal -t^(-q) for t <= eps exactly")
 
 
-#: validated profiles by build_profile's arguments, oldest first
-_PROFILES = {}
-_PROFILE_CACHE_SIZE = 64
-
-
 def build_profile(p, n, eps):
     """Construct and validate the eps-modified energy profile.
 
@@ -207,31 +202,14 @@ def build_profile(p, n, eps):
     phi at 3*eps; if the single cubic fails monotonicity or concavity, a
     knot at 2*eps is inserted with slope and value chosen from the interval
     where both halves stay concave.
-
-    Profiles are never mutated, so the last few are kept and a repeated
-    (p, n, eps) returns the same object without validating it again;
-    arguments that raise are not kept, and raise on every call.
     """
-    # equal values of another type, or a zero p of the other sign, would
-    # show in the profile's fields
-    key = tuple((type(x), x) for x in (p, n, eps)) + (np.signbit(p),)
-    profile = _PROFILES.get(key)
-    if profile is None:
-        profile = _build_profile(p, n, eps)
-        if len(_PROFILES) >= _PROFILE_CACHE_SIZE:
-            del _PROFILES[next(iter(_PROFILES))]
-        _PROFILES[key] = profile
-    return profile
-
-
-def _build_profile(p, n, eps):
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
     if not (0 < eps < 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3)")
     q = max(abs(p), n - 1.0)
     if p < 0 and abs(p) >= n - 1.0:
-        profile = EnergyProfile(p, n, eps, q, ())
+        profile = EnergyProfile(p, n, eps, q, [])
         _validate_profile(profile)
         return profile
 
@@ -240,10 +218,10 @@ def _build_profile(p, n, eps):
     vb, mb = _phi_raw(p, b), _dphi_raw(p, b)
     single = _Cubic(a, b, va, vb, ma, mb)
     if single.der2(a) < 0 and single.der2(b) < 0:
-        pieces = (single,)
+        pieces = [single]
     else:
         tc, vc, mc = _feasible_two_piece(a, b, va, vb, ma, mb)
-        pieces = (_Cubic(a, tc, va, vc, ma, mc), _Cubic(tc, b, vc, vb, mc, mb))
+        pieces = [_Cubic(a, tc, va, vc, ma, mc), _Cubic(tc, b, vc, vb, mc, mb)]
     profile = EnergyProfile(p, n, eps, q, pieces)
     _validate_profile(profile)
     return profile

@@ -350,7 +350,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
     prev_h = None
     prev_dir = None
-    first, second = measure.grid._antipodes
+    first, second = measure.grid.antipodes
 
     def record(iters, res, converged):
         body._check_invariants()

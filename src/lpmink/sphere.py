@@ -82,10 +82,13 @@ class DirectionGrid:
         return float(self.weights.sum())
 
     @cached_property
-    def _antipodes(self):
+    def antipodes(self):
         """Index arrays (i, j), i < j, of the antipodal node pairs.
 
-        Nodes i and j pair when |u_i + u_j| <= 1e-12.
+        Nodes i and j pair when |u_i + u_j| <= 1e-12. Offsets with
+        h_i + h_j <= 0 on such a pair bound no interior, so they admit no
+        Wulff shape. Every node of an even n = 2 grid has a partner; the
+        n = 3 Fibonacci grids have none.
         """
         d, j = self._tree.query(-self.nodes)
         i = np.flatnonzero((d <= 1e-12) & (np.arange(len(j)) < j))

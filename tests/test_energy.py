@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polygon
-from lpmink import energy as energy_module
-from lpmink.energy import (CenterError, ProfileError, build_profile, energy,
-                           optimal_center)
+from lpmink.energy import CenterError, build_profile, energy, optimal_center
 from lpmink.geometry import wulff_shape
 from lpmink.measures import density_measure
 from lpmink.sphere import build_grid
@@ -244,38 +242,3 @@ def test_energy_blows_down_near_boundary():
     f_star = energy(body, xi_star, mu, prof)
     xi_near = np.array([1.0 - 1e-4, 0.0])
     assert energy(body, xi_near, mu, prof) < f_star - 1e3
-
-
-def test_build_profile_validates_each_profile_once(monkeypatch):
-    monkeypatch.setattr(energy_module, "_PROFILES", {})
-    validated = []
-    validate = energy_module._validate_profile
-    monkeypatch.setattr(energy_module, "_validate_profile",
-                        lambda prof: validated.append(prof) or validate(prof))
-    prof = build_profile(0.5, 2, 0.1)
-    assert build_profile(0.5, 2, 0.1) is prof
-    assert validated == [prof]
-    # equal values of another type, or a zero p of the other sign, show in
-    # the profile's fields, so they are profiles of their own
-    assert type(build_profile(0, 2, 0.1).p) is int
-    assert type(build_profile(0.0, 2, 0.1).p) is float
-    assert np.signbit(build_profile(-0.0, 2, 0.1).p)
-    assert len(validated) == 4
-    # the cache keeps only the latest profiles
-    for k in range(1, energy_module._PROFILE_CACHE_SIZE + 1):
-        build_profile(0.5, 2, 0.1 / k)
-    assert len(energy_module._PROFILES) == energy_module._PROFILE_CACHE_SIZE
-    assert build_profile(0.5, 2, 0.1) is not prof
-
-
-def test_build_profile_raises_on_every_call(monkeypatch):
-    monkeypatch.setattr(energy_module, "_PROFILES", {})
-
-    def reject(profile):
-        raise ProfileError("rejected")
-
-    monkeypatch.setattr(energy_module, "_validate_profile", reject)
-    for _ in range(2):
-        with pytest.raises(ProfileError):
-            build_profile(0.5, 2, 0.1)
-    assert not energy_module._PROFILES
