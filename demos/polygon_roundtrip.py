@@ -33,8 +33,8 @@ print("smoothed: total %.4f, density in [%.2e, %.2e]"
       % (mu.total_mass, *mu.density_bounds))
 
 M, report = solve(mu, p)
-print("solve: converged=%s, residual_l1=%.4f, touch mass=%.2e"
-      % (report.converged, report.residual_l1, report.touch_mass))
+print("solve: converged=%s, residual_l1=%.2e"
+      % (report.converged, report.residual_l1))
 print("per-stage (eps, iterations, residual):")
 for s in report.stages:
     print("   %.4f  %4d  %.2e" % (s.eps, s.iterations, s.residual))

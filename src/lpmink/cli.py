@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -187,13 +188,22 @@ def _dump_residuals_csv(path, nodes, mu, sp):
 
 def _solve_options(cfg):
     solver_cfg = cfg.get("solver", {})
+    if not isinstance(solver_cfg, dict):
+        raise ConfigError("field 'solver' must be a JSON object")
+    keys = [f.name for f in fields(SolveOptions)]
+    for key in solver_cfg:
+        if key not in keys:
+            raise ConfigError("unknown solver option '%s' (have: %s)"
+                              % (key, ", ".join(keys)))
     opts = SolveOptions()
-    for key in ("tol", "max_iter", "eps0", "stages", "body_tol",
-                "touch_threshold", "max_diameter"):
+    for key in keys:
         val = cfg.get(key, solver_cfg.get(key))
         if val is not None:
-            setattr(opts, key, type(getattr(opts, key))(val)
-                    if getattr(opts, key) is not None else val)
+            try:
+                setattr(opts, key, type(getattr(opts, key))(val))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("solver option '%s' has the wrong type"
+                                  % key) from exc
     return opts
 
 

@@ -32,6 +32,8 @@ FINISH_STEPS = 40
 FINISH_HALVINGS = 30
 #: support margin, relative to the mean, that makes every facet active
 FINISH_MARGIN = 1e-2
+#: diameter beyond which a descent iterate counts as diverged
+MAX_DIAMETER = 60.0
 
 
 class SolverError(RuntimeError):
@@ -46,19 +48,12 @@ class LineSearchError(SolverError):
     """Backtracking step underflow; carries the last iterate."""
 
 
-class DivergenceError(SolverError):
-    """Residuals failed to decrease across continuation stages."""
-
-
 @dataclass
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 5000
     eps0: float = 0.1
     stages: int = 6
-    body_tol: float = 1e-5
-    touch_threshold: float = None
-    max_diameter: float = 60.0
 
 
 @dataclass
@@ -104,7 +99,6 @@ class SolveReport:
     newton_attempts: int = 0
     lambda0: float = np.nan
     lam: float = np.nan
-    touch_mass: float = 0.0
     residual_l1: float = np.nan
     residual_linf: float = np.nan
     converged: bool = False
@@ -116,7 +110,6 @@ class SolveReport:
             "newton_attempts": self.newton_attempts,
             "lambda0": self.lambda0,
             "lambda": self.lam,
-            "touch_mass": self.touch_mass,
             "residual_l1": self.residual_l1,
             "residual_linf": self.residual_linf,
             "converged": self.converged,
@@ -409,9 +402,9 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
         h = body.support_values.copy()
         direction = measure.orbit_average(r)
         R = float(np.max(np.linalg.norm(body.vertices - body.centroid, axis=1)))
-        if 2.0 * R > opts.max_diameter:
+        if 2.0 * R > MAX_DIAMETER:
             raise SolverError("iterate diameter exceeded the guard %.1f"
-                              % opts.max_diameter, body)
+                              % MAX_DIAMETER, body)
 
     res = float(np.max(np.abs(r)))
     if finish is not None:
@@ -428,6 +421,9 @@ def solve(measure, p, opts=None):
 
         lambda = (lambda0 / |p|)^(1/(n-p))   for p != 0,
         lambda = lambda0^(1/n)               for p = 0.
+
+    A stage past the first that takes no descent step ends the schedule
+    early: its warm start is already stationary at the smaller eps.
 
     When every mass is positive, ``newton_finish`` is tried at the
     descent's checkpoints, from the iterate rescaled this way about its
@@ -464,7 +460,6 @@ def solve(measure, p, opts=None):
     h = None
     body = None
     xi = None
-    prev_support = None
     for k in range(opts.stages):
         eps_k = opts.eps0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
@@ -473,42 +468,26 @@ def solve(measure, p, opts=None):
         report.stages.append(record)
         if finisher is not None and finisher.body is not None:
             break
-        h = body.support_values.copy()
-        if len(report.stages) >= 2:
-            prev = report.stages[-2]
-            if (not record.converged and not prev.converged
-                    and record.residual >= prev.residual):
-                raise DivergenceError(
-                    "stage residual failed to decrease: %.3e -> %.3e"
-                    % (prev.residual, record.residual), body)
-        if prev_support is not None and \
-                float(np.max(np.abs(h - prev_support))) < opts.body_tol:
+        if k > 0 and record.iterations == 0:
             break
-        prev_support = h.copy()
+        h = body.support_values.copy()
 
-    eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
     finished = finisher is not None and finisher.body is not None
     if finished:
         M = finisher.body
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
-        centered = M.scaled(1.0 / lam)
-        report.stages.append(_finish_record(finisher, centered, measure, p,
-                                            eps_scheduled, opts.tol))
+        eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
+        report.stages.append(_finish_record(finisher, M.scaled(1.0 / lam),
+                                            measure, p, eps_scheduled,
+                                            opts.tol))
     else:
         # the limit identity holds for the body recentered at its optimal
         # center
-        centered = body.translated(-xi)
         lambda0 = report.stages[-1].lambda_eps
         lam = _multiplier_scale(lambda0, p, n)
-        M = centered.scaled(lam)
+        M = body.translated(-xi).scaled(lam)
     report.newton_attempts = 0 if finisher is None else finisher.attempts
-    # touch detection is calibrated to the scheduled final eps even when the
-    # continuation stopped early on body_tol
-    touch_threshold = (10.0 * eps_scheduled if opts.touch_threshold is None
-                       else opts.touch_threshold)
-    touching = centered.support_values < touch_threshold
-    report.touch_mass = float(measure.masses[touching].sum())
     report.lambda0 = lambda0
     report.lam = float(lam)
     report.converged = finished or all(s.converged for s in report.stages)

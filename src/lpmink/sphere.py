@@ -77,10 +77,6 @@ class DirectionGrid:
     def __len__(self):
         return self.nodes.shape[0]
 
-    @property
-    def total_weight(self):
-        return float(self.weights.sum())
-
     @cached_property
     def antipodes(self):
         """Index arrays (i, j), i < j, of the antipodal node pairs.

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +219,35 @@ def test_malformed_config_exits_1(tmp_path):
                     "--output-dir", str(tmp_path)]) == 1
 
 
+def test_unknown_solver_option_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    base = {"n": 2, "p": 0.5, "measure": {"density": "const"},
+            "grid": {"resolution": 64}}
+    cfg_path.write_text(json.dumps({**base, "solver": {"body_tol": 1e-5}}))
+    assert run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "'body_tol'" in err
+    assert "tol, max_iter, eps0, stages" in err
+    assert not (tmp_path / "report.json").exists()
+    for solver_cfg in ({"stages": "six"}, [4]):
+        cfg_path.write_text(json.dumps({**base, "solver": solver_cfg}))
+        assert run_cli(["solve", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path)]) == 1
+
+
+def test_readme_sample_config_solves(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sample = readme.split("A solve config looks like:")[1]
+    sample = sample.split("```json\n")[1].split("```")[0]
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(sample)
+    assert run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is True
+
+
 def test_solver_nonconvergence_exits_3(tmp_path):
     cfg = {
         "n": 2, "p": -1.99,
@@ -230,6 +260,27 @@ def test_solver_nonconvergence_exits_3(tmp_path):
     code = run_cli(["solve", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)])
     assert code == 3
+
+
+def test_stalled_solve_exits_3_with_its_body(tmp_path):
+    # a zero mass gets no Newton finish, and three steps per stage leave
+    # every stage short of stationarity, with a residual that grows
+    cfg = {
+        "n": 2, "p": 0.5,
+        "measure": {"density": "arc",
+                    "params": {"theta_min": -3.0, "theta_max": 3.0}},
+        "grid": {"resolution": 128},
+        "solver": {"max_iter": 3, "stages": 3},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)])
+    assert code == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is False
+    assert [s["iterations"] for s in report["stages"]] == [3, 3, 3]
+    assert (tmp_path / "body.json").exists()
 
 
 def test_solve_dipole_n2048_converges(tmp_path):

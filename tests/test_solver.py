@@ -194,7 +194,7 @@ def test_solve_report_structure(grid2):
     assert all(b < a for a, b in zip(eps_list, eps_list[1:]))
     assert report.lambda0 > 0 and report.lam > 0
     data = report.to_dict()
-    assert set(data) >= {"p", "stages", "lambda0", "lambda", "touch_mass",
+    assert set(data) >= {"p", "stages", "lambda0", "lambda",
                          "residual_l1", "residual_linf", "converged"}
 
 
@@ -230,12 +230,6 @@ def test_verify_detects_scaling_mismatch():
     doubled = cube.scaled(2.0)
     l1, linf, _ = verify(doubled, mu, p)
     assert l1 == pytest.approx(2.0 ** (3 - p) - 1.0, rel=1e-9)
-
-
-def test_touch_mass_zero_for_smooth_density(grid2):
-    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid2)
-    M, report = solve(mu, -0.5)
-    assert report.touch_mass == 0.0
 
 
 def test_solve_invariant_measure_without_grid_permutations(grid2):
@@ -289,6 +283,11 @@ def test_solve_with_failing_finish_is_the_descent(grid2, monkeypatch):
     assert all(s.newton_steps is None for s in report.stages)
     assert report.converged == all(s.converged for s in report.stages)
     assert 1e-6 < report.residual_l1 <= 1e-3
+    # the continuation stops at the first stage past the first whose warm
+    # start takes no descent step
+    assert report.stages[-1].iterations == 0
+    assert all(s.iterations > 0 for s in report.stages[:-1])
+    assert len(report.stages) < SolveOptions().stages
 
 
 def test_finish_record_is_honest(grid2):
@@ -363,15 +362,20 @@ def test_dipole_solve_runs_no_lp(grid2, grid3, no_lp, n, a, p):
 
 @pytest.mark.parametrize("p", [0.5, -1.0, 0.9, -1.5])
 def test_solve_rotation_equivariance(grid2, p):
-    # turning the measure by k nodes of the circle grid turns the solution
+    # turning the measure by k nodes of the circle grid turns the solution,
+    # and reflecting it through node 0 (k -> -k) or between nodes 0 and 1
+    # (k -> 1 - k) reflects it; the density has no mirror symmetry
     masses = density_measure(
-        lambda U: 1 + 0.4 * U[:, 0] + 0.2 * U[:, 1] ** 2, grid2).masses
+        lambda U: 1 + 0.4 * U[:, 0] + 0.1 * U[:, 1] + 0.2 * U[:, 1] ** 2,
+        grid2).masses
     M, report = solve(SphericalMeasure(grid2, masses), p)
     assert report.converged
-    for k in (1, 37, 128):
-        Mk, rk = solve(SphericalMeasure(grid2, np.roll(masses, k)), p)
+    i = np.arange(len(masses))
+    turns = [(i - k) % len(i) for k in (1, 37, 128)]
+    for perm in turns + [-i % len(i), (1 - i) % len(i)]:
+        Mk, rk = solve(SphericalMeasure(grid2, masses[perm]), p)
         assert rk.converged
-        ratio = Mk.support_values / np.roll(M.support_values, k)
+        ratio = Mk.support_values / M.support_values[perm]
         assert np.max(np.abs(ratio - 1.0)) <= 1e-9
 
 
