@@ -26,7 +26,7 @@ from lpmink.measures import (HypothesisError, MeasureError, SphericalMeasure,
                              density_measure, positive_hull_check, smooth_discrete,
                              subspace_concentration_check, symmetrize_hemisphere)
 from lpmink.solver import SolveOptions, SolverError, solve, verify
-from lpmink.sphere import GridError, build_grid
+from lpmink.sphere import DEFAULT_RESOLUTION, GridError, build_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -96,6 +96,13 @@ def _bump_density(params, n):
     return f
 
 
+def _check_keys(obj, allowed, what):
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError("unknown %s '%s' (have: %s)"
+                              % (what, key, ", ".join(allowed)))
+
+
 def load_config(args):
     cfg = {}
     if args.config:
@@ -105,13 +112,21 @@ def load_config(args):
             raise ConfigError("cannot read config: %s" % exc) from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
+    # the fields some command reads; the solver options may sit at the root
+    _check_keys(cfg, ("n", "p", "m", "seed", "output_dir", "resolution")
+                + tuple(f.name for f in fields(SolveOptions))
+                + ("grid", "measure", "solver", "body_file", "ellipse", "center"),
+                "config field")
     for key in ("n", "p", "resolution", "tol", "eps0", "stages", "max_iter",
                 "seed", "m", "c", "output_dir"):
         val = getattr(args, key, None)
         if val is not None:
             if key == "c":
-                cfg.setdefault("measure", {"density": "const", "params": {}})
-                cfg["measure"].setdefault("params", {})["c"] = val
+                spec = cfg.setdefault("measure", {"density": "const"})
+                if not isinstance(spec, dict) or spec.get("density") != "const":
+                    raise ConfigError("--c sets the value of the const density, "
+                                      "and the config's measure is another")
+                spec.setdefault("params", {})["c"] = val
             else:
                 cfg[key] = val
     cfg["command"] = args.command
@@ -130,14 +145,22 @@ def _require(cfg, key, kind=None):
     return val
 
 
-def build_problem_grid(cfg, n):
+def _grid_config(cfg):
+    """The config's ``grid`` object; ``build_grid`` validates its symmetry."""
     grid_cfg = cfg.get("grid", {})
-    resolution = int(cfg.get("resolution", grid_cfg.get("resolution",
-                                                        256 if n == 2 else 500)))
-    symmetry = grid_cfg.get("symmetry")
-    if symmetry is not None:
-        symmetry = [np.asarray(A, dtype=float) for A in symmetry]
-    return build_grid(n, resolution, symmetry=symmetry)
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError("field 'grid' must be a JSON object")
+    _check_keys(grid_cfg, ("resolution", "symmetry"), "grid field")
+    return grid_cfg
+
+
+def build_problem_grid(cfg, n):
+    if n not in DEFAULT_RESOLUTION:
+        raise ConfigError("only dimensions 2 and 3 are supported")
+    grid_cfg = _grid_config(cfg)
+    resolution = cfg.get("resolution",
+                         grid_cfg.get("resolution", DEFAULT_RESOLUTION[n]))
+    return build_grid(n, int(resolution), symmetry=grid_cfg.get("symmetry"))
 
 
 def build_problem_measure(cfg, grid):
@@ -191,10 +214,7 @@ def _solve_options(cfg):
     if not isinstance(solver_cfg, dict):
         raise ConfigError("field 'solver' must be a JSON object")
     keys = [f.name for f in fields(SolveOptions)]
-    for key in solver_cfg:
-        if key not in keys:
-            raise ConfigError("unknown solver option '%s' (have: %s)"
-                              % (key, ", ".join(keys)))
+    _check_keys(solver_cfg, keys, "solver option")
     opts = SolveOptions()
     for key in keys:
         val = cfg.get(key, solver_cfg.get(key))
@@ -339,9 +359,7 @@ def cmd_smooth(cfg, outdir):
     dirs = np.array([a["u"] for a in spec["atoms"]], dtype=float)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     masses = np.array([a["mass"] for a in spec["atoms"]], dtype=float)
-    group = cfg.get("grid", {}).get("symmetry")
-    if group is not None:
-        group = [np.asarray(a, dtype=float) for a in group]
+    group = _grid_config(cfg).get("symmetry")
     smoothed = smooth_discrete(dirs, masses, grid, group=group, m=m)
     _dump_json(outdir / "report.json", {
         "command": "smooth", "m": m,

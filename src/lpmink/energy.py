@@ -253,12 +253,16 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
     grad_norm <= tol * total mass, and the Hessian is the negative-definite
     matrix A = sum_a u_a u_a^T phi_eps''(t_a) mu_a at the solution. The
     iteration starts from the Chebyshev center unless a strictly interior
-    warm start x0 is supplied. When the barrier curvature |A| is so large
-    that float64 cannot express gradients below |A| * spacing(xi), hitting
-    that machine floor counts as convergence (the returned grad_norm is
-    then the attainable one). When the energy's value stops resolving the
-    progress short of both, Newton continues backtracked on the gradient
-    norm.
+    warm start x0 is supplied. Each Newton step is capped short of the
+    boundary and halved until it is accepted, at first when the value
+    rises, or holds within fp noise while the gradient norm halves. When
+    no halving is accepted, reaching the machine floor |A| * spacing(xi)
+    counts as convergence: where the barrier curvature is large, float64
+    cannot express gradients below it (the returned grad_norm is then the
+    attainable one). Short of that floor the value has stopped resolving
+    the progress, as at a bridge knot of a nearly flat profile, and from
+    then on a step is accepted when it shrinks the gradient norm; the
+    energy is concave, so these steps still converge.
     """
     masses = measure.masses
     total = float(masses.sum())
@@ -278,90 +282,57 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
         A = (dirs * w2[:, None]).T @ dirs
         return g, A
 
+    def grad_norm(x):
+        return float(np.linalg.norm(grad_hess(x)[0]))
+
     def value(x):
         return float(np.sum(profile.phi(h - dirs @ x) * masses))
 
     fx = value(xi)
-    best = None  # (gnorm, xi, A) at the smallest gradient seen
+    by_value = True  # accept on the value until it stops resolving progress
     for _ in range(max_iter):
         g, A = grad_hess(xi)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol * total:
             return xi, gnorm, A
-        if best is None or gnorm < best[0]:
-            best = (gnorm, xi.copy(), A)
         try:
-            newton = -np.linalg.solve(A, g)
+            step = -np.linalg.solve(A, g)
         except np.linalg.LinAlgError:
-            newton = -np.linalg.lstsq(A, g, rcond=None)[0]
+            step = -np.linalg.lstsq(A, g, rcond=None)[0]
         # fraction-to-the-boundary cap: the quadratic model is blind to the
         # barrier, so keep every support gap at >= 10% of its current value
         t_cur = h - dirs @ xi
-        shrink = dirs @ newton
+        shrink = dirs @ step
         pos = shrink > 0
         if np.any(pos):
             alpha_max = float(np.min(t_cur[pos] / shrink[pos]))
             if alpha_max < 1.0:
-                newton = 0.9 * alpha_max * newton
-        # damped Newton with a gradient-ascent fallback for stiff iterates;
-        # near the optimum the value gain drops below fp noise, so a step
-        # that halves the gradient norm is also accepted
-        gap = body.interior_gap(xi)
-        directions = [newton, g * (0.5 * gap / max(np.linalg.norm(g), 1e-300))]
-        improved = False
-        for direction in directions:
-            step = direction
-            for _ in range(100):
-                cand = xi + step
-                if body.interior_gap(cand) > 0:
-                    fc = value(cand)
-                    if fc > fx:
-                        xi, fx = cand, fc
-                        improved = True
-                        break
-                    gc = float(np.linalg.norm(grad_hess(cand)[0]))
-                    if fc >= fx - 1e-12 * (1.0 + abs(fx)) and gc <= 0.5 * gnorm:
-                        xi, fx = cand, fc
-                        improved = True
-                        break
-                step = 0.5 * step
-            if improved:
-                break
-        if not improved:
-            break
-    g, A = grad_hess(xi)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol * total:
-        return xi, gnorm, A
-    if best is not None and best[0] < gnorm:
-        gnorm, xi, A = best[0], best[1], best[2]
-    # the gradient cannot be expressed below |A| times the fp spacing of
-    # xi; near barrier shoulders (support gaps at the bridge scale) that
-    # floor exceeds the nominal tolerance, and reaching it is convergence
-    floor = float(np.linalg.norm(A, 2)) * (1.0 + float(np.linalg.norm(xi))) * 1e-15
-    if gnorm <= max(tol * total, floor):
-        return xi, gnorm, A
-    # the value stops resolving progress where phi_eps'' jumps, as at a
-    # bridge knot of a nearly flat profile; the energy is concave, so
-    # Newton steps backtracked on the gradient norm still converge
-    g, A = grad_hess(xi)
-    for _ in range(max_iter):
-        try:
-            step = -np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:
-            break
+                step = 0.9 * alpha_max * step
         for _ in range(100):
             cand = xi + step
             if body.interior_gap(cand) > 0:
-                gc, Ac = grad_hess(cand)
-                if float(np.linalg.norm(gc)) < gnorm:
+                if by_value:
+                    # near the optimum the value gain drops below fp noise
+                    fc = value(cand)
+                    if fc > fx or (fc >= fx - 1e-12 * (1.0 + abs(fx))
+                                   and grad_norm(cand) <= 0.5 * gnorm):
+                        fx = fc
+                        break
+                elif grad_norm(cand) < gnorm:
                     break
             step = 0.5 * step
         else:
-            break
-        xi, g, A = cand, gc, Ac
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol * total:
-            return xi, gnorm, A
-    raise CenterError("optimal center did not converge within machine limits "
-                      "(grad %.2e, floor %.2e)" % (gnorm, floor))
+            # the gradient cannot be expressed below |A| times the fp
+            # spacing of xi; near barrier shoulders (support gaps at the
+            # bridge scale) that floor exceeds the nominal tolerance
+            floor = (float(np.linalg.norm(A, 2))
+                     * (1.0 + float(np.linalg.norm(xi))) * 1e-15)
+            if gnorm <= floor:
+                return xi, gnorm, A
+            if not by_value:
+                raise CenterError("optimal center did not converge within machine "
+                                  "limits (grad %.2e, floor %.2e)" % (gnorm, floor))
+            by_value = False
+            continue
+        xi = cand
+    raise CenterError("optimal center did not converge in %d Newton steps" % max_iter)

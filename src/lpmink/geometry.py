@@ -192,11 +192,6 @@ class Body:
             return float(np.max(self.vertices @ u))
         return np.max(self.vertices @ u.T, axis=0)
 
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(self.support_values))))
-        return bool(np.all(self.normals @ x <= self.support_values + tol * scale))
-
     def interior_gap(self, x):
         """min_i (h(u_i) - <u_i, x>); positive iff x lies in the interior."""
         return float(np.min(self.support_values - self.normals @ np.asarray(x)))

@@ -2,9 +2,10 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lpmink import cli, solver
+from lpmink import cli, solver, sphere
 from lpmink.cli import main
 
 
@@ -234,6 +235,73 @@ def test_unknown_solver_option_exits_1(tmp_path, capsys):
         cfg_path.write_text(json.dumps({**base, "solver": solver_cfg}))
         assert run_cli(["solve", "--config", str(cfg_path),
                         "--output-dir", str(tmp_path)]) == 1
+
+
+def test_unknown_config_field_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    base = {"n": 2, "p": 0.5, "measure": {"density": "const"}}
+    for cfg, key, have in (
+            ({**base, "grid": {"resolutoin": 64}}, "'resolutoin'",
+             "(have: resolution, symmetry)"),
+            ({**base, "body_tol": 1e-5, "grid": {"resolution": 64}}, "'body_tol'",
+             "(have: n, p, m, seed, output_dir, resolution, tol, max_iter, eps0, "
+             "stages, grid, measure, solver, body_file, ellipse, center)")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["solve", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and have in err
+        assert not (tmp_path / "report.json").exists()
+    # cmd_smooth reads the grid object through the same check
+    cfg_path.write_text(json.dumps({
+        "n": 2, "grid": {"resolution": 64, "symetry": None},
+        "measure": {"atoms": [{"u": [1, 0], "mass": 1.0}]}}))
+    assert run_cli(["smooth", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 1
+    assert "'symetry'" in capsys.readouterr().err
+
+
+def test_smooth_takes_the_grid_symmetry(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "grid": {"resolution": 64,
+                         "symmetry": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
+        "measure": {"atoms": [{"u": [0.8, 0.6], "mass": 1.0},
+                              {"u": [0.8, -0.6], "mass": 1.0},
+                              {"u": [-1, 0], "mass": 2.0}]}}))
+    assert run_cli(["smooth", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    atoms = json.loads((tmp_path / "measure.json").read_text())["atoms"]
+    mass = {tuple(np.round(a["u"], 9)): a["mass"] for a in atoms}
+    for (x, y), m in mass.items():
+        assert mass[(x, -y)] == pytest.approx(m, rel=1e-12)
+
+
+def test_c_flag_requires_the_const_density(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "p": 0.5, "grid": {"resolution": 64},
+        "measure": {"density": "dipole", "params": {"a": 0.3}}}))
+    assert run_cli(["solve", "--config", str(cfg_path), "--c", "5",
+                    "--output-dir", str(tmp_path)]) == 1
+    assert "--c" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # on a const density it sets the value
+    cfg_path.write_text(json.dumps({
+        "n": 2, "p": 0.5, "grid": {"resolution": 64},
+        "measure": {"density": "const", "params": {"c": 1.0}}}))
+    assert run_cli(["solve", "--config", str(cfg_path), "--c", "2",
+                    "--output-dir", str(tmp_path)]) == 0
+    mu = float((tmp_path / "residuals.csv").read_text().splitlines()[1].split(",")[2])
+    assert mu == pytest.approx(2.0 * 2.0 * np.pi / 64, rel=1e-12)
+
+
+def test_default_grid_resolution_comes_from_sphere(tmp_path, monkeypatch):
+    monkeypatch.setitem(sphere.DEFAULT_RESOLUTION, 2, 24)
+    assert run_cli(["solve", "--n", "2", "--p", "0.5", "--c", "1",
+                    "--output-dir", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "body.json").read_text())
+    assert len(body["normals"]) == 24
 
 
 def test_readme_sample_config_solves(tmp_path):

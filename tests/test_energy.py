@@ -146,6 +146,22 @@ def test_optimal_center_gradient_condition_random():
         assert np.linalg.norm(g) <= 1e-10 * mu.total_mass
 
 
+def test_optimal_center_converges_where_the_value_stops_resolving():
+    # a solve's first iterate for 1 + 0.5 cos(theta) at p = 1.192092896e-07:
+    # the optimum sits on a bridge knot of the nearly flat profile, so the
+    # value stops resolving Newton's progress far above the machine floor
+    # and only steps that shrink the gradient norm reach the tolerance
+    grid = build_grid(2, 64)
+    mu = density_measure(lambda U: 1 + 0.5 * U[:, 0], grid)
+    raw = wulff_shape(2, grid.nodes, np.ones(len(grid)))
+    body = raw.scaled(raw.volume ** -0.5)
+    prof = build_profile(1.192092896e-07, 2, 0.1)
+    xi, gnorm, A = optimal_center(body, mu, prof, x0=np.zeros(2))
+    assert gnorm <= 1e-10 * mu.total_mass
+    assert body.interior_gap(xi) > 0
+    assert np.max(np.linalg.eigvalsh(A)) < 0
+
+
 def test_optimal_center_matches_grid_search_oracle():
     # asymmetric triangle, p = 1/2, f = 1, eps = 0.05
     ang = np.array([0.3, 2.2, 4.4])
