@@ -50,7 +50,7 @@ def _density(name):
 
 @_density("const")
 def _const_density(params, n):
-    c = float(params.get("c", 1.0))
+    c = _require(params, "c", float, 1.0)
     if c <= 0:
         raise ConfigError("const density requires c > 0")
     return lambda U: np.full(len(np.atleast_2d(U)), c)
@@ -58,7 +58,7 @@ def _const_density(params, n):
 
 @_density("dipole")
 def _dipole_density(params, n):
-    a = float(params.get("a", 0.5))
+    a = _require(params, "a", float, 0.5)
     if not -1 < a < 1:
         raise ConfigError("dipole density requires |a| < 1")
     return lambda U: 1.0 + a * np.atleast_2d(U)[:, 0]
@@ -68,9 +68,9 @@ def _dipole_density(params, n):
 def _arc_density(params, n):
     if n != 2:
         raise ConfigError("arc density is only defined for n = 2")
-    lo = float(params.get("theta_min", -np.pi / 4))
-    hi = float(params.get("theta_max", np.pi / 4))
-    value = float(params.get("value", 1.0))
+    lo = _require(params, "theta_min", float, -np.pi / 4)
+    hi = _require(params, "theta_max", float, np.pi / 4)
+    value = _require(params, "value", float, 1.0)
 
     def f(U):
         U = np.atleast_2d(U)
@@ -82,9 +82,9 @@ def _arc_density(params, n):
 
 @_density("bump")
 def _bump_density(params, n):
-    base = float(params.get("base", 1.0))
-    amp = float(params.get("amplitude", 1.0))
-    width = float(params.get("width", 0.5))
+    base = _require(params, "base", float, 1.0)
+    amp = _require(params, "amplitude", float, 1.0)
+    width = _require(params, "width", float, 0.5)
     center = np.asarray(params.get("center", [1.0] + [0.0] * (n - 1)), dtype=float)
     center = center / np.linalg.norm(center)
 
@@ -94,6 +94,13 @@ def _bump_density(params, n):
         return base + amp * np.exp(-((ang / width) ** 2))
 
     return f
+
+
+def _read_json(path, what):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError("cannot read %s: %s" % (what, exc)) from exc
 
 
 def _check_keys(obj, allowed, what):
@@ -106,10 +113,7 @@ def _check_keys(obj, allowed, what):
 def load_config(args):
     cfg = {}
     if args.config:
-        try:
-            cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError("cannot read config: %s" % exc) from exc
+        cfg = _read_json(args.config, "config")
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
     # the fields some command reads; the solver options may sit at the root
@@ -133,16 +137,15 @@ def load_config(args):
     return cfg
 
 
-def _require(cfg, key, kind=None):
-    if key not in cfg:
+def _require(cfg, key, kind=None, default=None):
+    """cfg[key], converted by ``kind``; required unless a default is given."""
+    val = cfg.get(key, default)
+    if val is None:
         raise ConfigError("missing config field '%s'" % key)
-    val = cfg[key]
-    if kind is not None:
-        try:
-            val = kind(val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("field '%s' has the wrong type" % key) from exc
-    return val
+    try:
+        return val if kind is None else kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("field '%s' has the wrong type" % key) from exc
 
 
 def _grid_config(cfg):
@@ -158,9 +161,9 @@ def build_problem_grid(cfg, n):
     if n not in DEFAULT_RESOLUTION:
         raise ConfigError("only dimensions 2 and 3 are supported")
     grid_cfg = _grid_config(cfg)
-    resolution = cfg.get("resolution",
-                         grid_cfg.get("resolution", DEFAULT_RESOLUTION[n]))
-    return build_grid(n, int(resolution), symmetry=grid_cfg.get("symmetry"))
+    resolution = _require(cfg, "resolution", int,
+                          grid_cfg.get("resolution", DEFAULT_RESOLUTION[n]))
+    return build_grid(n, resolution, symmetry=grid_cfg.get("symmetry"))
 
 
 def build_problem_measure(cfg, grid):
@@ -173,7 +176,7 @@ def build_problem_measure(cfg, grid):
         raise ConfigError("measure must have exactly one source "
                           "(density | atoms | file)")
     if "file" in spec:
-        data = json.loads(Path(spec["file"]).read_text())
+        data = _read_json(spec["file"], "measure file")
         spec = {"atoms": data["atoms"]} if "atoms" in data else data
         return build_problem_measure({**cfg, "measure": spec}, grid)
     if "density" in spec:
@@ -217,19 +220,15 @@ def _solve_options(cfg):
     _check_keys(solver_cfg, keys, "solver option")
     opts = SolveOptions()
     for key in keys:
-        val = cfg.get(key, solver_cfg.get(key))
-        if val is not None:
-            try:
-                setattr(opts, key, type(getattr(opts, key))(val))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("solver option '%s' has the wrong type"
-                                  % key) from exc
+        default = getattr(opts, key)
+        setattr(opts, key, _require(cfg, key, type(default),
+                                    solver_cfg.get(key, default)))
     return opts
 
 
 def cmd_solve(cfg, outdir):
-    n = int(_require(cfg, "n"))
-    p = float(_require(cfg, "p"))
+    n = _require(cfg, "n", int)
+    p = _require(cfg, "p", float)
     if not (-n < p < 1):
         raise ConfigError("solve requires p in (-n, 1)")
     grid = build_problem_grid(cfg, n)
@@ -257,12 +256,12 @@ def cmd_solve(cfg, outdir):
 
 
 def cmd_verify(cfg, outdir):
-    n = int(_require(cfg, "n"))
-    p = float(_require(cfg, "p"))
+    n = _require(cfg, "n", int)
+    p = _require(cfg, "p", float)
     if not (-n < p < 1):
         raise ConfigError("verify requires p in (-n, 1)")
     body_file = _require(cfg, "body_file", str)
-    data = json.loads(Path(body_file).read_text())
+    data = _read_json(body_file, "body file")
     body = wulff_shape(n, np.asarray(data["normals"], dtype=float),
                        np.asarray(data["offsets"], dtype=float))
     grid = build_problem_grid(cfg, n)
@@ -276,15 +275,15 @@ def cmd_verify(cfg, outdir):
 
 
 def cmd_identity(cfg, outdir):
-    n = int(_require(cfg, "n"))
-    p = float(_require(cfg, "p"))
+    n = _require(cfg, "n", int)
+    p = _require(cfg, "p", float)
     if not (-n <= p < 1) or p == 0:
         raise ConfigError("identity requires p in [-n, 1), p != 0")
     semiaxes = cfg.get("ellipse", [1.0] * n)
     if len(semiaxes) != n:
         raise ConfigError("ellipse must list %d semiaxes" % n)
     center = cfg.get("center")
-    resolution = int(cfg.get("resolution", 720 if n == 2 else 2000))
+    resolution = _require(cfg, "resolution", int, 720 if n == 2 else 2000)
     grid = build_grid(n, resolution)
     body = ellipsoid_model(semiaxes, center=center)
     M, target, dev = fp_identity_matrix(body, p, grid)
@@ -301,7 +300,7 @@ def cmd_identity(cfg, outdir):
 
 
 def cmd_check(cfg, outdir):
-    n = int(_require(cfg, "n"))
+    n = _require(cfg, "n", int)
     grid = build_problem_grid(cfg, n)
     measure = build_problem_measure(cfg, grid)
     hull = positive_hull_check(measure)
@@ -333,7 +332,7 @@ def cmd_check(cfg, outdir):
 
 
 def cmd_symmetrize(cfg, outdir):
-    n = int(_require(cfg, "n"))
+    n = _require(cfg, "n", int)
     grid = build_problem_grid(cfg, n)
     measure = build_problem_measure(cfg, grid)
     mu0, simplex, A, cone = symmetrize_hemisphere(measure)
@@ -350,8 +349,8 @@ def cmd_symmetrize(cfg, outdir):
 
 
 def cmd_smooth(cfg, outdir):
-    n = int(_require(cfg, "n"))
-    m = int(cfg.get("m", 8))
+    n = _require(cfg, "n", int)
+    m = _require(cfg, "m", int, 8)
     grid = build_problem_grid(cfg, n)
     spec = cfg.get("measure", {})
     if "atoms" not in spec:

@@ -8,8 +8,6 @@ against a measure mu is the quadrature of phi_eps(h_K(u) - <u, xi>); its
 unique interior maximizer in xi is computed by damped Newton.
 """
 
-import json
-
 import numpy as np
 
 from lpmink.geometry import chebyshev_center
@@ -152,21 +150,6 @@ class EnergyProfile:
             lambda s: _d2phi_raw(self.p, s),
             [lambda c, s: c.der2(s)] * len(self.pieces))
 
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "dim": self.dim,
-            "eps": self.eps,
-            "q": self.q,
-            "bridge": [
-                {"t0": c.t0, "t1": c.t1, "coefficients": c.c.tolist()}
-                for c in self.pieces
-            ],
-        }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def _validate_profile(profile):
     eps = profile.eps
@@ -295,6 +278,9 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol * total:
             return xi, gnorm, A
+        if not np.all(np.isfinite(A)):
+            # phi_eps'' overflows on a body far below the eps scale
+            raise CenterError("the Hessian of the center energy is not finite")
         try:
             step = -np.linalg.solve(A, g)
         except np.linalg.LinAlgError:

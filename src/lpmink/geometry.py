@@ -216,6 +216,23 @@ class Body:
                     self.support_values + shift, validate=False,
                     ridges=self.ridges)
 
+    def embedded(self, normals, index):
+        """The body over the constraints ``normals``, whose rows ``index`` are its own.
+
+        Every other constraint is inactive: zero facet area, with offset
+        and support value at the body's true support, as wulff_shape keeps
+        them; the ridges follow their facets to the new indices.
+        """
+        support_values = self.support(normals)
+        support_values[index] = self.support_values
+        offsets = support_values.copy()
+        offsets[index] = self.offsets
+        facet_areas = np.zeros(len(normals))
+        facet_areas[index] = self.facet_areas
+        ridges = None if self.ridges is None else (index[self.ridges[0]], self.ridges[1])
+        return Body(self.dim, normals, offsets, self.vertices, facet_areas,
+                    self.volume, self.centroid, support_values, ridges=ridges)
+
     def to_dict(self):
         return {
             "dim": self.dim,
@@ -322,11 +339,6 @@ def facet_jacobian(body):
     cols = np.concatenate([j, i, np.arange(m)])
     return sparse.csr_matrix((np.concatenate([off, off, diag]), (rows, cols)),
                              shape=(m, m))
-
-
-def support(body, u):
-    """Support function of the body in direction u."""
-    return body.support(u)
 
 
 def lp_surface_area_measure(body, p):

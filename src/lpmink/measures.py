@@ -7,14 +7,14 @@ positive densities, hemisphere symmetrization with the cone restriction
 data, and the hypothesis checkers (subspace concentration, positive hull).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from lpmink.sphere import GridError, node_permutations, validate_group
+from lpmink.sphere import (DirectionGrid, GridError, node_permutations,
+                           sphere_area, validate_group)
 
 
 class MeasureError(ValueError):
@@ -95,30 +95,35 @@ class SphericalMeasure:
     def total_mass(self):
         return float(self.masses.sum())
 
-    @property
-    def atoms(self):
-        """List of (node index, mass) for the atoms carrying positive mass."""
-        idx = np.nonzero(self.masses > 0)[0]
-        return [(int(i), float(self.masses[i])) for i in idx]
+    def on_support(self):
+        """The measure restricted to its positive-mass nodes, and their indices.
 
-    def support_directions(self):
-        return self.grid.nodes[self.masses > 0]
-
-    def support_masses(self):
-        return self.masses[self.masses > 0]
+        Returns ``self`` when every mass is positive. Otherwise the
+        restriction lives on the sub-grid of those nodes, keeps the group
+        (the support of an invariant measure is invariant) and drops the
+        density bounds. The sub-grid's weights are rescaled to sum to the
+        sphere area, as every DirectionGrid's must: that check guards grids
+        read from outside the program, and nothing that reads a
+        restriction uses its weights.
+        """
+        support = np.flatnonzero(self.masses > 0)
+        if len(support) == len(self.masses):
+            return self, support
+        weights = self.grid.weights[support]
+        grid = DirectionGrid(self.dim, self.grid.nodes[support],
+                             weights * (sphere_area(self.dim) / weights.sum()))
+        return SphericalMeasure(grid, self.masses[support], group=self.group), support
 
     def to_dict(self):
+        sub, _ = self.on_support()
         return {
             "dim": self.dim,
             "atoms": [
-                {"u": self.grid.nodes[i].tolist(), "mass": m}
-                for i, m in self.atoms
+                {"u": u.tolist(), "mass": float(m)}
+                for u, m in zip(sub.grid.nodes, sub.masses)
             ],
             "density_bounds": list(self.density_bounds) if self.density_bounds else None,
         }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def density_measure(f, grid):
@@ -228,8 +233,8 @@ def _distinct_atoms(measure, tol=1e-10):
     representative; representatives keep their order and collect their
     members' masses in index order.
     """
-    dirs = measure.support_directions()
-    masses = measure.support_masses()
+    sub, _ = measure.on_support()
+    dirs, masses = sub.grid.nodes, sub.masses
     pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")
     if len(pairs) == 0:
         return dirs, masses
@@ -525,14 +530,15 @@ def symmetrize_hemisphere(measure):
     ``cone_normals`` lists the inner normals w_j of the Dirichlet-Voronoi
     cone D(v0) = {x : <x, w_j> >= 0}.
     """
-    hull_report = positive_hull_check(measure)
+    sub, _ = measure.on_support()
+    hull_report = positive_hull_check(sub)
     if hull_report.pos_equals_L:
         # pos supp = lin supp leaves no direction with <u, v0> >= 0 on the
         # support; the construction does not apply
         raise HypothesisError("positive hull equals the linear span (%s)"
                               % (hull_report.detail or "no hemisphere"))
 
-    dirs, _ = _distinct_atoms(measure)
+    dirs, _ = _distinct_atoms(sub)
     n = measure.dim
     k = len(dirs)
     G = dirs @ dirs.T
@@ -594,18 +600,15 @@ def symmetrize_hemisphere(measure):
 
     # mu0 = sum of pushforwards by A^{-i}; atoms must land on grid nodes
     new_masses = np.zeros(len(measure.grid))
-    support_idx = np.nonzero(measure.masses > 0)[0]
-    sup_dirs = measure.grid.nodes[support_idx]
-    sup_mass = measure.masses[support_idx]
     rot = np.eye(n)
     for i in range(d + 1):
-        images = sup_dirs @ rot  # (A^{-i}) u = u @ (A^{-i})^T = u @ A^i
+        images = sub.grid.nodes @ rot  # (A^{-i}) u = u @ (A^{-i})^T = u @ A^i
         dist, idx = measure.grid._tree.query(images)
         if dist.max() > 1e-9:
             raise MeasureError(
                 "rotated atoms miss the grid by %.2e; use a grid closed under "
                 "the simplex rotation" % dist.max())
-        np.add.at(new_masses, idx, sup_mass)
+        np.add.at(new_masses, idx, sub.masses)
         rot = rot @ A
 
     cone_normals = []

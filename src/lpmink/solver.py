@@ -273,28 +273,24 @@ class _Finisher:
 
     Calling it with a volume-one iterate, its optimal center and its
     multiplier starts Newton at the multiplier-rescaled body centered
-    there; the first success is kept in ``body``. Past FINISH_ATTEMPTS
+    there; the first success, newton_finish's (body, steps, residual_l1),
+    is kept in ``result``, which ends the solve. Past FINISH_ATTEMPTS
     attempts only a stage's last iterate is tried.
     """
 
     def __init__(self, measure, p):
         self.measure, self.p = measure, p
         self.attempts = 0
-        self.body = None
-        self.steps = None
-        self.residual_l1 = None
+        self.result = None
 
     def __call__(self, body, xi, lambda_eps, last):
         if self.attempts >= FINISH_ATTEMPTS and not last:
             return False
         self.attempts += 1
         lam = _multiplier_scale(lambda_eps, self.p, body.dim)
-        result = newton_finish(self.measure, self.p,
-                               lam * (body.support_values - body.normals @ xi))
-        if result is None:
-            return False
-        self.body, self.steps, self.residual_l1 = result
-        return True
+        self.result = newton_finish(self.measure, self.p,
+                                    lam * (body.support_values - body.normals @ xi))
+        return self.result is not None
 
 
 def minimize_fixed_eps(measure, profile, opts=None, h0=None,
@@ -325,6 +321,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     depend on it.
     """
     opts = opts or SolveOptions()
+    finish = finish or (lambda body, xi, lambda_eps, last: False)
     if h0 is None:
         # every unit-offset plane is at distance 1 from the origin, which
         # spares the Chebyshev LP
@@ -355,10 +352,9 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     for iterations in range(1, opts.max_iter + 1):
         res = float(np.max(np.abs(r)))
         if res <= opts.tol * lam:
-            if finish is not None:
-                finish(body, xi, lam, True)
+            finish(body, xi, lam, True)
             return record(iterations - 1, res, True)
-        if finish is not None and res <= checkpoint * lam:
+        if res <= checkpoint * lam:
             if finish(body, xi, lam, False):
                 return record(iterations - 1, res, False)
             checkpoint = min(0.1 * checkpoint,
@@ -407,8 +403,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
                               % MAX_DIAMETER, body)
 
     res = float(np.max(np.abs(r)))
-    if finish is not None:
-        finish(body, xi, lam, True)
+    finish(body, xi, lam, True)
     return record(iterations, res, False)
 
 
@@ -425,21 +420,24 @@ def solve(measure, p, opts=None):
     A stage past the first that takes no descent step ends the schedule
     early: its warm start is already stationary at the smaller eps.
 
-    When every mass is positive, ``newton_finish`` is tried at the
-    descent's checkpoints, from the iterate rescaled this way about its
-    optimal center: at most FINISH_ATTEMPTS times before a stage's end,
-    and at the end of every stage. The first success ends
-    the continuation: M is the finished body, the report's last stage is
-    the finish's record and the solve counts as converged. The attempts
-    leave the descent alone, so when all of them fail the result is the
-    descent's, bit for bit, and converged means every stage converged.
+    ``newton_finish`` is tried at the descent's checkpoints, from the
+    iterate rescaled this way about its optimal center: at most
+    FINISH_ATTEMPTS times before a stage's end, and at the end of every
+    stage. The first success ends the continuation: M is the finished
+    body, the report's last stage is the finish's record and the solve
+    counts as converged. The attempts leave the descent alone, so when all
+    of them fail the result is the descent's, bit for bit, and converged
+    means every stage converged.
 
-    The supported regime is a discrete density bounded between positive
-    constants; measures with vanishing or unbounded density should first go
-    through smoothing or symmetrization. A measure supported in a closed
-    hemisphere raises HypothesisError before any descent: symmetrize it
-    with ``symmetrize_hemisphere`` first. A subnormal p is solved as
-    p = 0, which it equals in double precision.
+    Everything runs on the measure restricted to its support
+    (``measure.on_support()``): at a zero mass h^(1-p) S = mu holds with
+    S = 0, a direction absent from the Wulff shape. M is still
+    index-aligned with ``measure.grid``; at a zero-mass node its constraint
+    is inactive, with facet area 0. So a density may vanish on part of the
+    sphere, but a measure supported in a closed hemisphere raises
+    HypothesisError before any descent: symmetrize it with
+    ``symmetrize_hemisphere`` first. A subnormal p is solved as p = 0,
+    which it equals in double precision.
     """
     opts = opts or SolveOptions()
     n = measure.dim
@@ -450,48 +448,47 @@ def solve(measure, p, opts=None):
         # a subnormal p underflows |p| t^(p-1), while h^(1-p) rounds to h:
         # in double precision the problem is the p = 0 one
         p = 0.0
-    hull = positive_hull_check(measure)
+    sub, support = measure.on_support()
+    hull = positive_hull_check(sub)
     if hull.L_dim < n or not hull.pos_equals_L:
         raise HypothesisError("the support lies in a closed hemisphere; "
                               "symmetrize the measure first (lpmink symmetrize)")
 
-    # log mu is undefined at a zero mass, so such a measure gets no finish
-    finisher = _Finisher(measure, p) if np.all(measure.masses > 0) else None
+    finisher = _Finisher(sub, p)
     h = None
     body = None
     xi = None
     for k in range(opts.stages):
         eps_k = opts.eps0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
-        body, xi, record = minimize_fixed_eps(measure, profile, opts, h0=h,
+        body, xi, record = minimize_fixed_eps(sub, profile, opts, h0=h,
                                               xi0=xi, finish=finisher)
         report.stages.append(record)
-        if finisher is not None and finisher.body is not None:
-            break
-        if k > 0 and record.iterations == 0:
+        if finisher.result is not None or (k > 0 and record.iterations == 0):
             break
         h = body.support_values.copy()
 
-    finished = finisher is not None and finisher.body is not None
-    if finished:
-        M = finisher.body
+    if finisher.result is not None:
+        M = finisher.result[0]
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
         eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
         report.stages.append(_finish_record(finisher, M.scaled(1.0 / lam),
-                                            measure, p, eps_scheduled,
-                                            opts.tol))
+                                            sub, p, eps_scheduled, opts.tol))
     else:
         # the limit identity holds for the body recentered at its optimal
         # center
         lambda0 = report.stages[-1].lambda_eps
         lam = _multiplier_scale(lambda0, p, n)
         M = body.translated(-xi).scaled(lam)
-    report.newton_attempts = 0 if finisher is None else finisher.attempts
+    report.newton_attempts = finisher.attempts
     report.lambda0 = lambda0
     report.lam = float(lam)
-    report.converged = finished or all(s.converged for s in report.stages)
+    report.converged = (finisher.result is not None
+                        or all(s.converged for s in report.stages))
 
+    if sub is not measure:
+        M = M.embedded(measure.grid.nodes, support)
     res_l1, res_linf, _ = verify(M, measure, p)
     report.residual_l1 = res_l1
     report.residual_linf = res_linf
@@ -519,7 +516,7 @@ def _finish_record(finisher, body, measure, p, eps, tol):
         residual = lambda_eps = energy = None
     return StageRecord(eps, 0, residual, lambda_eps, energy,
                        residual is not None and residual <= tol,
-                       finisher.steps, finisher.residual_l1)
+                       *finisher.result[1:])
 
 
 def verify(M, measure, p):

@@ -147,9 +147,12 @@ def validate_group(group, dim, tol=1e-7):
     Requires every matrix to be orthogonal and the set to be closed under
     composition within ``tol``; returns the matrices as float arrays.
     """
-    if group is None or len(group) == 0:
+    try:
+        mats = [np.asarray(A, dtype=float) for A in group]
+    except (TypeError, ValueError) as exc:
+        raise GridError("a symmetry group is a list of matrices") from exc
+    if not mats:
         raise GridError("symmetry group is empty")
-    mats = [np.asarray(A, dtype=float) for A in group]
     for A in mats:
         if A.shape != (dim, dim):
             raise GridError("group matrix has wrong shape")

@@ -331,13 +331,12 @@ def test_solver_nonconvergence_exits_3(tmp_path):
 
 
 def test_stalled_solve_exits_3_with_its_body(tmp_path):
-    # a zero mass gets no Newton finish, and three steps per stage leave
-    # every stage short of stationarity, with a residual that grows
+    # near p = -n every finish attempt fails, and three steps per stage
+    # leave every stage short of stationarity
     cfg = {
-        "n": 2, "p": 0.5,
-        "measure": {"density": "arc",
-                    "params": {"theta_min": -3.0, "theta_max": 3.0}},
-        "grid": {"resolution": 128},
+        "n": 2, "p": -1.99,
+        "measure": {"density": "dipole", "params": {"a": 0.4}},
+        "grid": {"resolution": 256},
         "solver": {"max_iter": 3, "stages": 3},
     }
     cfg_path = tmp_path / "cfg.json"
@@ -349,6 +348,34 @@ def test_stalled_solve_exits_3_with_its_body(tmp_path):
     assert report["converged"] is False
     assert [s["iterations"] for s in report["stages"]] == [3, 3, 3]
     assert (tmp_path / "body.json").exists()
+
+
+def test_solve_and_verify_a_density_vanishing_on_an_arc(tmp_path):
+    # the density is 0 on 1/3 of the circle; the body still has one row
+    # per grid node, and verify reproduces solve's residual from body.json
+    cfg = {
+        "n": 2, "p": 0.5,
+        "measure": {"density": "arc",
+                    "params": {"theta_min": -2.0, "theta_max": 2.0}},
+        "grid": {"resolution": 256},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    solved = tmp_path / "solve"
+    assert run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(solved)]) == 0
+    report = json.loads((solved / "report.json").read_text())
+    assert report["converged"] is True and report["residual_l1"] <= 1e-9
+    rows = (solved / "residuals.csv").read_text().splitlines()
+    assert len(rows) == 1 + 256
+    cfg["body_file"] = str(solved / "body.json")
+    cfg_path.write_text(json.dumps(cfg))
+    checked = tmp_path / "verify"
+    assert run_cli(["verify", "--config", str(cfg_path),
+                    "--output-dir", str(checked)]) == 0
+    verified = json.loads((checked / "report.json").read_text())
+    assert verified["residual_l1"] == pytest.approx(report["residual_l1"],
+                                                    abs=1e-12)
 
 
 def test_solve_dipole_n2048_converges(tmp_path):
@@ -400,3 +427,23 @@ def test_verify_command(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["command"] == "verify"
     assert report["residual_l1"] <= 0.02
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", {"n": 2, "p": 0.5, "grid": {"resolution": "abc"}}),
+    ("solve", {"n": "two", "p": 0.5}),
+    ("solve", {"n": 2, "p": "half"}),
+    ("solve", {"n": 2, "p": 0.5, "grid": {"symmetry": 5}}),
+    ("solve", {"n": 2, "p": 0.5,
+               "measure": {"density": "const", "params": {"c": "x"}}}),
+    ("check", {"n": 2, "measure": {"file": "no-such-measure.json"}}),
+    ("verify", {"n": 2, "p": 0.5, "body_file": "no-such-body.json"}),
+])
+def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys,
+                                                      command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"measure": {"density": "const"}, **cfg}))
+    assert run_cli([command, "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

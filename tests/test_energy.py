@@ -80,11 +80,10 @@ def test_profile_validation_errors():
         build_profile(0.5, 2, 0.1).phi(-1.0)
 
 
-def test_profile_json_dump():
+def test_profile_exponent_and_bridge_pieces():
     prof = build_profile(0.5, 2, 0.1)
-    data = prof.to_dict()
-    assert data["q"] == 1.0
-    assert len(data["bridge"]) in (1, 2)
+    assert prof.q == 1.0
+    assert len(prof.pieces) in (1, 2)
 
 
 def test_energy_constant_on_disk_like_body():
@@ -258,3 +257,15 @@ def test_energy_blows_down_near_boundary():
     f_star = energy(body, xi_star, mu, prof)
     xi_near = np.array([1.0 - 1e-4, 0.0])
     assert energy(body, xi_near, mu, prof) < f_star - 1e3
+
+
+@pytest.mark.parametrize("n,N,scale", [(3, 200, 1e-80), (2, 64, 1e-110)])
+def test_optimal_center_raises_center_error_on_a_non_finite_hessian(n, N, scale):
+    # phi_eps'' overflows on a body far below the eps scale; the machine
+    # floor test's spectral norm then raised numpy's LinAlgError
+    grid = build_grid(n, N)
+    body = wulff_shape(n, grid.nodes, np.ones(N)).scaled(scale)
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid)
+    prof = build_profile(0.99, n, 0.1)
+    with np.errstate(all="ignore"), pytest.raises(CenterError):
+        optimal_center(body, mu, prof, x0=np.zeros(n))

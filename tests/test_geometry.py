@@ -11,7 +11,7 @@ from conftest import random_polygon, random_polytope
 from lpmink.geometry import (Body, GeometryError, WulffError, body_stats,
                              body_to_off, facet_jacobian,
                              lp_surface_area_measure, santalo_quadrature,
-                             support, wulff_shape)
+                             wulff_shape)
 from lpmink.sphere import unit_ball_volume
 
 SQUARE_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -176,9 +176,9 @@ def test_circumscribed_polytope_refinement():
 
 def test_support_square():
     B = wulff_shape(2, SQUARE_NORMALS, np.ones(4))
-    assert support(B, np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert B.support(np.array([1.0, 0.0])) == pytest.approx(1.0)
     u = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert support(B, u) == pytest.approx(np.sqrt(2))
+    assert B.support(u) == pytest.approx(np.sqrt(2))
 
 
 def test_support_against_lp_oracle():
@@ -190,7 +190,7 @@ def test_support_against_lp_oracle():
         res = linprog(-u, A_ub=body.normals, b_ub=body.offsets,
                       bounds=[(None, None)] * 2, method="highs")
         assert res.success
-        assert support(body, u) == pytest.approx(-res.fun, abs=1e-9)
+        assert body.support(u) == pytest.approx(-res.fun, abs=1e-9)
 
 
 def test_surface_measure_cube_and_square():

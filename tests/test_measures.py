@@ -138,8 +138,10 @@ def test_symmetrize_single_atom_simplex():
     assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
     assert np.allclose(gram[~np.eye(3, dtype=bool)], -0.5, atol=1e-12)
     assert np.min(np.linalg.norm(simplex - np.array([1.0, 0.0]), axis=1)) < 1e-12
-    assert sorted(i for i, _ in mu0.atoms) == [0, 120, 240]
-    assert all(m == pytest.approx(1.0) for _, m in mu0.atoms)
+    sub, support = mu0.on_support()
+    assert support.tolist() == [0, 120, 240]
+    assert np.array_equal(sub.grid.nodes, g.nodes[support])
+    assert sub.masses == pytest.approx([1.0, 1.0, 1.0])
     assert mu0.total_mass == pytest.approx(3.0)
 
 
@@ -446,7 +448,8 @@ def test_distinct_atoms_matches_greedy_scan():
     mu = SphericalMeasure(grid, rng.uniform(0.5, 1.5, len(nodes)))
 
     out_d, out_m = [], []
-    for u, w in zip(mu.support_directions(), mu.support_masses()):
+    sub, _ = mu.on_support()
+    for u, w in zip(sub.grid.nodes, sub.masses):
         for j, v in enumerate(out_d):
             if np.linalg.norm(u - v) <= 1e-10:
                 out_m[j] += w
@@ -458,6 +461,25 @@ def test_distinct_atoms_matches_greedy_scan():
     assert len(out_d) < len(nodes) - 3
     assert np.array_equal(dirs, np.array(out_d))
     assert np.array_equal(masses, np.array(out_m))
+
+
+def test_on_support_restricts_to_the_positive_masses():
+    g = build_grid(2, 360)
+    mu = density_measure(lambda U: 1 + 0.5 * U[:, 0], g)
+    assert mu.on_support()[0] is mu
+    masses = np.where(np.abs(g.nodes[:, 1]) < 0.45, 1.0 + g.nodes[:, 0] ** 2, 0.0)
+    mirror = np.diag([1.0, -1.0])
+    mu = SphericalMeasure(g, masses, group=[np.eye(2), mirror])
+    sub, support = mu.on_support()
+    assert np.array_equal(support, np.flatnonzero(masses > 0))
+    assert np.array_equal(sub.grid.nodes, g.nodes[support])
+    assert np.array_equal(sub.masses, masses[support])
+    assert sub.grid.weights.sum() == pytest.approx(sphere_area(2), rel=1e-12)
+    assert sub.density_bounds is None and len(sub.group) == 2
+    # the group acts on the sub-grid's own indices
+    nodes = sub.grid.nodes
+    assert np.allclose(nodes[sub.permutations[1]], nodes @ mirror.T, atol=1e-12)
+    assert sub.to_dict() == mu.to_dict()
 
 
 def test_measure_group_invariance_validation():
