@@ -1,7 +1,8 @@
 """Command-line entry point: config ingestion, pipelines, report emission.
 
 Commands: solve, verify, identity, check, symmetrize, smooth. Configuration
-comes from a single JSON file; scalar flags override config values. All
+comes from a single JSON file, where each setting has one place; flags
+override config values. All
 outputs (report.json, residuals.csv, body.json, body.off) are written to
 the output directory and are byte-reproducible for identical configs.
 
@@ -85,7 +86,8 @@ def _bump_density(params, n):
     base = _require(params, "base", float, 1.0)
     amp = _require(params, "amplitude", float, 1.0)
     width = _require(params, "width", float, 0.5)
-    center = np.asarray(params.get("center", [1.0] + [0.0] * (n - 1)), dtype=float)
+    center = _require(params, "center", lambda v: np.asarray(v, dtype=float),
+                      [1.0] + [0.0] * (n - 1))
     center = center / np.linalg.norm(center)
 
     def f(U):
@@ -110,29 +112,36 @@ def _check_keys(obj, allowed, what):
                               % (what, key, ", ".join(allowed)))
 
 
+def _object(cfg, key):
+    """cfg[key], which must be a JSON object; an empty one when absent."""
+    obj = cfg.setdefault(key, {})
+    if not isinstance(obj, dict):
+        raise ConfigError("field '%s' must be a JSON object" % key)
+    return obj
+
+
 def load_config(args):
     cfg = {}
     if args.config:
         cfg = _read_json(args.config, "config")
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    # the fields some command reads; the solver options may sit at the root
-    _check_keys(cfg, ("n", "p", "m", "seed", "output_dir", "resolution")
-                + tuple(f.name for f in fields(SolveOptions))
-                + ("grid", "measure", "solver", "body_file", "ellipse", "center"),
-                "config field")
-    for key in ("n", "p", "resolution", "tol", "eps0", "stages", "max_iter",
-                "seed", "m", "c", "output_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
-            if key == "c":
-                spec = cfg.setdefault("measure", {"density": "const"})
-                if not isinstance(spec, dict) or spec.get("density") != "const":
-                    raise ConfigError("--c sets the value of the const density, "
-                                      "and the config's measure is another")
-                spec.setdefault("params", {})["c"] = val
-            else:
-                cfg[key] = val
+    # the fields some command reads
+    _check_keys(cfg, ("n", "p", "m", "output_dir", "grid", "measure", "solver",
+                      "body_file", "ellipse", "center"), "config field")
+    for key in ("n", "p", "m", "output_dir"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for obj, key in (("grid", "resolution"), ("solver", "stages"),
+                     ("solver", "max_iter")):
+        if getattr(args, key) is not None:
+            _object(cfg, obj)[key] = getattr(args, key)
+    if args.c is not None:
+        spec = cfg.setdefault("measure", {"density": "const"})
+        if not isinstance(spec, dict) or spec.get("density") != "const":
+            raise ConfigError("--c sets the value of the const density, "
+                              "and the config's measure is another")
+        _object(spec, "params")["c"] = args.c
     cfg["command"] = args.command
     return cfg
 
@@ -150,9 +159,7 @@ def _require(cfg, key, kind=None, default=None):
 
 def _grid_config(cfg):
     """The config's ``grid`` object; ``build_grid`` validates its symmetry."""
-    grid_cfg = cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("field 'grid' must be a JSON object")
+    grid_cfg = _object(cfg, "grid")
     _check_keys(grid_cfg, ("resolution", "symmetry"), "grid field")
     return grid_cfg
 
@@ -161,16 +168,28 @@ def build_problem_grid(cfg, n):
     if n not in DEFAULT_RESOLUTION:
         raise ConfigError("only dimensions 2 and 3 are supported")
     grid_cfg = _grid_config(cfg)
-    resolution = _require(cfg, "resolution", int,
-                          grid_cfg.get("resolution", DEFAULT_RESOLUTION[n]))
+    resolution = _require(grid_cfg, "resolution", int, DEFAULT_RESOLUTION[n])
     return build_grid(n, resolution, symmetry=grid_cfg.get("symmetry"))
+
+
+def _read_atoms(spec, n):
+    """Unit directions and masses of the measure's inline ``atoms``."""
+    try:
+        dirs = np.array([atom["u"] for atom in spec["atoms"]], dtype=float)
+        masses = np.array([atom["mass"] for atom in spec["atoms"]], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("atoms must be a list of {\"u\": [...], \"mass\": m}") from exc
+    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    if dirs.shape != (len(masses), n) or not np.all(norms > 0):
+        raise ConfigError("every atom needs a nonzero direction of dimension %d" % n)
+    return dirs / norms, masses
 
 
 def build_problem_measure(cfg, grid):
     n = grid.dim
-    spec = cfg.get("measure")
-    if spec is None:
+    if cfg.get("measure") is None:
         raise ConfigError("missing config field 'measure'")
+    spec = _object(cfg, "measure")
     sources = [k for k in ("density", "atoms", "file") if k in spec]
     if len(sources) != 1:
         raise ConfigError("measure must have exactly one source "
@@ -184,18 +203,14 @@ def build_problem_measure(cfg, grid):
         if name not in DENSITIES:
             raise ConfigError("unknown density '%s' (have: %s)"
                               % (name, ", ".join(sorted(DENSITIES))))
-        f = DENSITIES[name](spec.get("params", {}), n)
+        f = DENSITIES[name](_object(spec, "params"), n)
         return density_measure(f, grid)
     masses = np.zeros(len(grid))
-    for atom in spec["atoms"]:
-        u = np.asarray(atom["u"], dtype=float)
-        if len(u) != n:
-            raise ConfigError("atom direction has wrong dimension")
-        u = u / np.linalg.norm(u)
+    for u, mass in zip(*_read_atoms(spec, n)):
         idx = grid.nearest_node(u)
         if np.linalg.norm(grid.nodes[idx] - u) > 1e-8:
-            raise ConfigError("atom direction %s is not a grid node" % atom["u"])
-        masses[idx] += float(atom["mass"])
+            raise ConfigError("atom direction %s is not a grid node" % u.tolist())
+        masses[idx] += mass
     return SphericalMeasure(grid, masses)
 
 
@@ -213,16 +228,13 @@ def _dump_residuals_csv(path, nodes, mu, sp):
 
 
 def _solve_options(cfg):
-    solver_cfg = cfg.get("solver", {})
-    if not isinstance(solver_cfg, dict):
-        raise ConfigError("field 'solver' must be a JSON object")
+    solver_cfg = _object(cfg, "solver")
     keys = [f.name for f in fields(SolveOptions)]
     _check_keys(solver_cfg, keys, "solver option")
     opts = SolveOptions()
     for key in keys:
         default = getattr(opts, key)
-        setattr(opts, key, _require(cfg, key, type(default),
-                                    solver_cfg.get(key, default)))
+        setattr(opts, key, _require(solver_cfg, key, type(default), default))
     return opts
 
 
@@ -237,14 +249,13 @@ def cmd_solve(cfg, outdir):
     try:
         M, report = solve(measure, p, opts)
     except (HypothesisError, SolverError, CenterError) as exc:
-        _dump_json(outdir / "report.json",
-                   {"command": "solve", "error": str(exc), "seed": cfg.get("seed", 0)})
+        _dump_json(outdir / "report.json", {"command": "solve", "error": str(exc)})
         if isinstance(exc, HypothesisError):
             sys.stderr.write("hypothesis check failed: %s\n" % exc)
             return EXIT_HYPOTHESIS
         return EXIT_NONCONVERGED
     payload = report.to_dict()
-    payload.update({"command": "solve", "n": n, "seed": cfg.get("seed", 0)})
+    payload.update({"command": "solve", "n": n})
     _dump_json(outdir / "report.json", payload)
     # solve() verified M, which is index-aligned with the grid
     _dump_residuals_csv(outdir / "residuals.csv", grid.nodes, measure.masses,
@@ -262,14 +273,18 @@ def cmd_verify(cfg, outdir):
         raise ConfigError("verify requires p in (-n, 1)")
     body_file = _require(cfg, "body_file", str)
     data = _read_json(body_file, "body file")
-    body = wulff_shape(n, np.asarray(data["normals"], dtype=float),
-                       np.asarray(data["offsets"], dtype=float))
+    try:
+        normals = np.asarray(data["normals"], dtype=float)
+        offsets = np.asarray(data["offsets"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("body file needs numeric 'normals' and 'offsets'") from exc
+    body = wulff_shape(n, normals, offsets)
     grid = build_problem_grid(cfg, n)
     measure = build_problem_measure(cfg, grid)
     res_l1, res_linf, sp = verify(body, measure, p)
     _dump_json(outdir / "report.json",
                {"command": "verify", "residual_l1": res_l1,
-                "residual_linf": res_linf, "seed": cfg.get("seed", 0)})
+                "residual_linf": res_linf})
     _dump_residuals_csv(outdir / "residuals.csv", grid.nodes, measure.masses, sp)
     return EXIT_OK
 
@@ -283,7 +298,8 @@ def cmd_identity(cfg, outdir):
     if len(semiaxes) != n:
         raise ConfigError("ellipse must list %d semiaxes" % n)
     center = cfg.get("center")
-    resolution = _require(cfg, "resolution", int, 720 if n == 2 else 2000)
+    resolution = _require(_grid_config(cfg), "resolution", int,
+                          720 if n == 2 else 2000)
     grid = build_grid(n, resolution)
     body = ellipsoid_model(semiaxes, center=center)
     M, target, dev = fp_identity_matrix(body, p, grid)
@@ -294,7 +310,6 @@ def cmd_identity(cfg, outdir):
         "matrix": M.tolist(), "target": target.tolist(),
         "deviation": dev.tolist(),
         "max_abs_deviation": float(np.abs(dev).max()),
-        "seed": cfg.get("seed", 0),
     })
     return EXIT_OK
 
@@ -323,7 +338,6 @@ def cmd_check(cfg, outdir):
                 for w in subspace.witnesses
             ],
         },
-        "seed": cfg.get("seed", 0),
     }
     _dump_json(outdir / "report.json", payload)
     if not hull.passes or not subspace.satisfied:
@@ -342,7 +356,6 @@ def cmd_symmetrize(cfg, outdir):
         "rotation": A.tolist(),
         "cone_normals": cone.tolist(),
         "mu0_total_mass": mu0.total_mass,
-        "seed": cfg.get("seed", 0),
     })
     _dump_json(outdir / "measure0.json", mu0.to_dict())
     return EXIT_OK
@@ -352,19 +365,16 @@ def cmd_smooth(cfg, outdir):
     n = _require(cfg, "n", int)
     m = _require(cfg, "m", int, 8)
     grid = build_problem_grid(cfg, n)
-    spec = cfg.get("measure", {})
+    spec = _object(cfg, "measure")
     if "atoms" not in spec:
         raise ConfigError("smooth requires an inline atomic measure")
-    dirs = np.array([a["u"] for a in spec["atoms"]], dtype=float)
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    masses = np.array([a["mass"] for a in spec["atoms"]], dtype=float)
+    dirs, masses = _read_atoms(spec, n)
     group = _grid_config(cfg).get("symmetry")
     smoothed = smooth_discrete(dirs, masses, grid, group=group, m=m)
     _dump_json(outdir / "report.json", {
         "command": "smooth", "m": m,
         "total_mass": smoothed.total_mass,
         "density_bounds": list(smoothed.density_bounds),
-        "seed": cfg.get("seed", 0),
     })
     _dump_json(outdir / "measure.json", smoothed.to_dict())
     return EXIT_OK
@@ -392,12 +402,9 @@ def make_parser():
     parser.add_argument("--c", type=float, default=None,
                         help="constant density value (shorthand measure)")
     parser.add_argument("--resolution", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--eps0", type=float, default=None)
     parser.add_argument("--stages", type=int, default=None)
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     return parser
 
 

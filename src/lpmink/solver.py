@@ -7,7 +7,9 @@ Euler-Lagrange identity phi_eps'(h - <u, xi>) mu = lambda_eps S; the
 continuation drives eps to zero and the final body is rescaled by the
 multiplier to match the prescribed measure. A damped Newton finish on the
 unregularized discrete equation h^(1-p) S = mu, tried at checkpoints of the
-descent, replaces the rest of the continuation once it succeeds.
+descent, replaces the rest of the continuation once it succeeds, and only
+its success makes a solve converged. EL_TOL and EPS0 steer the descent
+alone; the options a caller sets are SolveOptions' max_iter and stages.
 """
 
 import warnings
@@ -24,6 +26,9 @@ from lpmink.measures import HypothesisError, positive_hull_check
 #: verify's residual_l1 at which the Newton finish stops and counts as
 #: converged
 FINISH_TOL = 1e-10
+#: verify's residual_l1 up to which a finish whose Newton correction has
+#: reached the rounding level of the log-supports counts as converged
+FLOOR_TOL = 1e-8
 #: finish attempts at decade checkpoints per solve (the end of every stage
 #: is tried as well), Newton steps per attempt, and step halvings per line
 #: search; they bound what a finish that keeps failing can cost
@@ -34,6 +39,10 @@ FINISH_HALVINGS = 30
 FINISH_MARGIN = 1e-2
 #: diameter beyond which a descent iterate counts as diverged
 MAX_DIAMETER = 60.0
+#: a descent stage is stationary when max |r| <= EL_TOL lambda_eps
+EL_TOL = 1e-6
+#: the continuation's first eps; stage k runs at EPS0 * 2^-k
+EPS0 = 0.1
 
 
 class SolverError(RuntimeError):
@@ -50,9 +59,7 @@ class LineSearchError(SolverError):
 
 @dataclass
 class SolveOptions:
-    tol: float = 1e-6
     max_iter: int = 5000
-    eps0: float = 0.1
     stages: int = 6
 
 
@@ -211,10 +218,14 @@ def newton_finish(measure, p, h):
     holding every step down; accepting a fall in |F|^2 as well keeps the
     n = 2 dipole at p = 0.99 well inside FINISH_STEPS. A trial point with
     an inactive facet is rejected; for a measure with a group the step is
-    orbit-averaged. Stops when verify's residual_l1 is at most FINISH_TOL.
+    orbit-averaged. Stops when verify's residual_l1 is at most FINISH_TOL,
+    or when the mass-weighted correction sqrt(sum_i mu_i ds_i^2 / total)
+    is at most 1e-13 max(1, max|s|), the rounding floor (at n = 2 it grows
+    as N^2 eps); that stop succeeds when residual_l1 is at most FLOOR_TOL.
 
     Returns (body, steps, residual_l1) on success and None when the Wulff
-    shape degenerates, the line search fails or FINISH_STEPS run out.
+    shape degenerates, the line search fails, FINISH_STEPS run out or the
+    floor is reached above FLOOR_TOL.
     """
     h = np.asarray(h, dtype=float)
     total = measure.total_mass
@@ -237,11 +248,7 @@ def newton_finish(measure, p, h):
             sp = lp_surface_area_measure(body, p)
             l1 = float(np.abs(sp - measure.masses).sum() / total)
             if l1 <= FINISH_TOL:
-                try:
-                    body._check_invariants()
-                except GeometryError:
-                    return None
-                return body, steps, l1
+                return _checked(body, steps, l1)
             if steps == FINISH_STEPS:
                 return None
             # J in place on facet_jacobian's canonical CSR, which stores
@@ -254,6 +261,11 @@ def newton_finish(measure, p, h):
             ds = measure.orbit_average(spsolve(J, -F))
             if not np.all(np.isfinite(ds)):
                 return None
+            if (np.sqrt(measure.masses @ ds ** 2 / total)
+                    <= 1e-13 * max(1.0, float(np.max(np.abs(s))))):
+                # the correction is lost in the rounding of s, so no step
+                # lowers l1 further
+                return _checked(body, steps, l1) if l1 <= FLOOR_TOL else None
             merits = weights @ F ** 2
             t = min(1.0, 2.0 * t)
             for _ in range(FINISH_HALVINGS):
@@ -266,6 +278,15 @@ def newton_finish(measure, p, h):
                 return None
             s = s + t * ds
             body, F = trial
+
+
+def _checked(body, steps, l1):
+    """newton_finish's result, or None when the body fails its invariants."""
+    try:
+        body._check_invariants()
+    except GeometryError:
+        return None
+    return body, steps, l1
 
 
 class _Finisher:
@@ -305,7 +326,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     Step sizes follow a safeguarded Barzilai-Borwein rule; a trial step
     where some antipodal pair of grid nodes has h_i + h_j <= 0 is halved
     without building its empty Wulff shape. Terminates when
-    max |r| <= opts.tol * lambda_eps or after opts.max_iter iterations.
+    max |r| <= EL_TOL * lambda_eps or after opts.max_iter iterations.
 
     Returns (body, xi, StageRecord). When ``energy_trace`` is a list it
     receives the energy of every accepted iterate, in order. ``xi0`` warm
@@ -351,7 +372,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         res = float(np.max(np.abs(r)))
-        if res <= opts.tol * lam:
+        if res <= EL_TOL * lam:
             finish(body, xi, lam, True)
             return record(iterations - 1, res, True)
         if res <= checkpoint * lam:
@@ -410,7 +431,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
 def solve(measure, p, opts=None):
     """Solve S_{M,p} = mu by eps-continuation and the multiplier rescale.
 
-    Runs minimize_fixed_eps on the schedule eps_k = eps0 * 2^-k with warm
+    Runs minimize_fixed_eps on the schedule eps_k = EPS0 * 2^-k with warm
     starts, extracts lambda0 from the final stage, and returns
     (M, SolveReport) with M = lambda * K0,
 
@@ -425,9 +446,10 @@ def solve(measure, p, opts=None):
     FINISH_ATTEMPTS times before a stage's end, and at the end of every
     stage. The first success ends the continuation: M is the finished
     body, the report's last stage is the finish's record and the solve
-    counts as converged. The attempts leave the descent alone, so when all
-    of them fail the result is the descent's, bit for bit, and converged
-    means every stage converged.
+    counts as converged. Only that success does: the attempts leave the
+    descent alone, so when all of them fail the result is the descent's,
+    bit for bit, and the report says it did not converge, however
+    stationary its stages.
 
     Everything runs on the measure restricted to its support
     (``measure.on_support()``): at a zero mass h^(1-p) S = mu holds with
@@ -459,7 +481,7 @@ def solve(measure, p, opts=None):
     body = None
     xi = None
     for k in range(opts.stages):
-        eps_k = opts.eps0 * 2.0 ** (-k)
+        eps_k = EPS0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
         body, xi, record = minimize_fixed_eps(sub, profile, opts, h0=h,
                                               xi0=xi, finish=finisher)
@@ -472,9 +494,9 @@ def solve(measure, p, opts=None):
         M = finisher.result[0]
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
-        eps_scheduled = opts.eps0 * 2.0 ** (-(opts.stages - 1))
+        eps_scheduled = EPS0 * 2.0 ** (-(opts.stages - 1))
         report.stages.append(_finish_record(finisher, M.scaled(1.0 / lam),
-                                            sub, p, eps_scheduled, opts.tol))
+                                            sub, p, eps_scheduled))
     else:
         # the limit identity holds for the body recentered at its optimal
         # center
@@ -484,8 +506,7 @@ def solve(measure, p, opts=None):
     report.newton_attempts = finisher.attempts
     report.lambda0 = lambda0
     report.lam = float(lam)
-    report.converged = (finisher.result is not None
-                        or all(s.converged for s in report.stages))
+    report.converged = finisher.result is not None
 
     if sub is not measure:
         M = M.embedded(measure.grid.nodes, support)
@@ -495,11 +516,11 @@ def solve(measure, p, opts=None):
     return M, report
 
 
-def _finish_record(finisher, body, measure, p, eps, tol):
+def _finish_record(finisher, body, measure, p, eps):
     """StageRecord of a successful finish; ``body`` is its volume-one body.
 
     The Euler-Lagrange data are recomputed at the optimal center for the
-    profile at ``eps``; the record is stationary when max |r| <= tol
+    profile at ``eps``; the record is stationary when max |r| <= EL_TOL
     lambda_eps, as for a descent stage.
     """
     profile = build_profile(p, body.dim, eps)
@@ -515,7 +536,7 @@ def _finish_record(finisher, body, measure, p, eps, tol):
     except (CenterError, SolverError):
         residual = lambda_eps = energy = None
     return StageRecord(eps, 0, residual, lambda_eps, energy,
-                       residual is not None and residual <= tol,
+                       residual is not None and residual <= EL_TOL,
                        *finisher.result[1:])
 
 
