@@ -86,8 +86,7 @@ def _bump_density(params, n):
     base = _require(params, "base", float, 1.0)
     amp = _require(params, "amplitude", float, 1.0)
     width = _require(params, "width", float, 0.5)
-    center = _require(params, "center", lambda v: np.asarray(v, dtype=float),
-                      [1.0] + [0.0] * (n - 1))
+    center = _require(params, "center", _vector(n), [1.0] + [0.0] * (n - 1))
     center = center / np.linalg.norm(center)
 
     def f(U):
@@ -157,6 +156,16 @@ def _require(cfg, key, kind=None, default=None):
         raise ConfigError("field '%s' has the wrong type" % key) from exc
 
 
+def _vector(n):
+    """A ``_require`` kind: a float array of shape (n,)."""
+    def kind(val):
+        vec = np.asarray(val, dtype=float)
+        if vec.shape != (n,):
+            raise ValueError("expected %d numbers" % n)
+        return vec
+    return kind
+
+
 def _grid_config(cfg):
     """The config's ``grid`` object; ``build_grid`` validates its symmetry."""
     grid_cfg = _object(cfg, "grid")
@@ -180,7 +189,7 @@ def _read_atoms(spec, n):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("atoms must be a list of {\"u\": [...], \"mass\": m}") from exc
     norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
-    if dirs.shape != (len(masses), n) or not np.all(norms > 0):
+    if masses.ndim != 1 or dirs.shape != (len(masses), n) or not np.all(norms > 0):
         raise ConfigError("every atom needs a nonzero direction of dimension %d" % n)
     return dirs / norms, masses
 
@@ -199,7 +208,7 @@ def build_problem_measure(cfg, grid):
         spec = {"atoms": data["atoms"]} if "atoms" in data else data
         return build_problem_measure({**cfg, "measure": spec}, grid)
     if "density" in spec:
-        name = spec["density"]
+        name = _require(spec, "density", str)
         if name not in DENSITIES:
             raise ConfigError("unknown density '%s' (have: %s)"
                               % (name, ", ".join(sorted(DENSITIES))))
@@ -235,6 +244,8 @@ def _solve_options(cfg):
     for key in keys:
         default = getattr(opts, key)
         setattr(opts, key, _require(solver_cfg, key, type(default), default))
+    if opts.stages < 1 or opts.max_iter < 0:
+        raise ConfigError("solver needs stages >= 1 and max_iter >= 0")
     return opts
 
 
@@ -294,10 +305,10 @@ def cmd_identity(cfg, outdir):
     p = _require(cfg, "p", float)
     if not (-n <= p < 1) or p == 0:
         raise ConfigError("identity requires p in [-n, 1), p != 0")
-    semiaxes = cfg.get("ellipse", [1.0] * n)
-    if len(semiaxes) != n:
-        raise ConfigError("ellipse must list %d semiaxes" % n)
+    semiaxes = _require(cfg, "ellipse", _vector(n), [1.0] * n)
     center = cfg.get("center")
+    if center is not None:
+        center = _require(cfg, "center", _vector(n))
     resolution = _require(_grid_config(cfg), "resolution", int,
                           720 if n == 2 else 2000)
     grid = build_grid(n, resolution)
@@ -421,7 +432,7 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir)
     except (ConfigError, GridError, MeasureError, GeometryError,
-            IdentityError) as exc:
+            IdentityError, SolverError) as exc:
         if isinstance(exc, HypothesisError):
             sys.stderr.write("hypothesis check failed: %s\n" % exc)
             return EXIT_HYPOTHESIS

@@ -12,6 +12,11 @@ import numpy as np
 
 from lpmink.geometry import chebyshev_center
 
+#: optimal_center stops at |grad| <= CENTER_TOL * total mass, or fails
+#: after CENTER_STEPS Newton steps
+CENTER_TOL = 1e-10
+CENTER_STEPS = 100
+
 
 class ProfileError(ValueError):
     """Bridge construction failed monotonicity/concavity validation."""
@@ -106,7 +111,7 @@ class EnergyProfile:
     def is_unmodified(self):
         return not self.pieces
 
-    def _piecewise(self, t, low_fn, high_fn, mid_fns):
+    def _piecewise(self, t, low_fn, high_fn, bridge_fn):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -124,9 +129,9 @@ class EnergyProfile:
             if np.any(mid):
                 tm = t[mid]
                 res = np.empty_like(tm)
-                for cub, fn in zip(self.pieces, mid_fns):
+                for cub in self.pieces:
                     sel = (tm >= cub.t0) & (tm <= cub.t1)
-                    res[sel] = fn(cub, tm[sel])
+                    res[sel] = bridge_fn(cub, tm[sel])
                 out[mid] = res
         return float(out[0]) if scalar else out
 
@@ -134,21 +139,19 @@ class EnergyProfile:
         """phi_eps(t)."""
         return self._piecewise(
             t, lambda s: -(s ** (-self.q)), lambda s: _phi_raw(self.p, s),
-            [lambda c, s: c.val(s)] * len(self.pieces))
+            _Cubic.val)
 
     def dphi(self, t):
         """phi_eps'(t); positive everywhere."""
         return self._piecewise(
             t, lambda s: self.q * s ** (-self.q - 1.0),
-            lambda s: _dphi_raw(self.p, s),
-            [lambda c, s: c.der(s)] * len(self.pieces))
+            lambda s: _dphi_raw(self.p, s), _Cubic.der)
 
     def d2phi(self, t):
         """phi_eps''(t); negative everywhere, may jump at bridge knots."""
         return self._piecewise(
             t, lambda s: -self.q * (self.q + 1.0) * s ** (-self.q - 2.0),
-            lambda s: _d2phi_raw(self.p, s),
-            [lambda c, s: c.der2(s)] * len(self.pieces))
+            lambda s: _d2phi_raw(self.p, s), _Cubic.der2)
 
 
 def _validate_profile(profile):
@@ -229,23 +232,24 @@ def energy(body, xi, measure, profile):
     return float(np.sum(profile.phi(t) * measure.masses))
 
 
-def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
+def optimal_center(body, measure, profile, x0=None):
     """Unique interior maximizer of xi -> Phi_eps(K, xi) by damped Newton.
 
     Returns (xi, grad_norm, hessian); the gradient residual satisfies
-    grad_norm <= tol * total mass, and the Hessian is the negative-definite
-    matrix A = sum_a u_a u_a^T phi_eps''(t_a) mu_a at the solution. The
-    iteration starts from the Chebyshev center unless a strictly interior
-    warm start x0 is supplied. Each Newton step is capped short of the
-    boundary and halved until it is accepted, at first when the value
-    rises, or holds within fp noise while the gradient norm halves. When
-    no halving is accepted, reaching the machine floor |A| * spacing(xi)
-    counts as convergence: where the barrier curvature is large, float64
-    cannot express gradients below it (the returned grad_norm is then the
-    attainable one). Short of that floor the value has stopped resolving
-    the progress, as at a bridge knot of a nearly flat profile, and from
-    then on a step is accepted when it shrinks the gradient norm; the
-    energy is concave, so these steps still converge.
+    grad_norm <= CENTER_TOL * total mass, and the Hessian is the
+    negative-definite matrix A = sum_a u_a u_a^T phi_eps''(t_a) mu_a at
+    the solution. The iteration starts from the Chebyshev center unless a
+    strictly interior warm start x0 is supplied. Each Newton step is
+    capped short of the boundary and halved until it is accepted, at
+    first when the value rises, or holds within fp noise while the
+    gradient norm halves. When no halving is accepted, reaching the
+    machine floor |A| * spacing(xi) counts as convergence: where the
+    barrier curvature is large, float64 cannot express gradients below it
+    (the returned grad_norm is then the attainable one). Short of that
+    floor the value has stopped resolving the progress, as at a bridge
+    knot of a nearly flat profile, and from then on a step is accepted
+    when it shrinks the gradient norm; the energy is concave, so these
+    steps still converge. CenterError is raised after CENTER_STEPS.
     """
     masses = measure.masses
     total = float(masses.sum())
@@ -273,10 +277,10 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
 
     fx = value(xi)
     by_value = True  # accept on the value until it stops resolving progress
-    for _ in range(max_iter):
+    for _ in range(CENTER_STEPS):
         g, A = grad_hess(xi)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol * total:
+        if gnorm <= CENTER_TOL * total:
             return xi, gnorm, A
         if not np.all(np.isfinite(A)):
             # phi_eps'' overflows on a body far below the eps scale
@@ -321,4 +325,5 @@ def optimal_center(body, measure, profile, tol=1e-10, max_iter=100, x0=None):
             by_value = False
             continue
         xi = cand
-    raise CenterError("optimal center did not converge in %d Newton steps" % max_iter)
+    raise CenterError("optimal center did not converge in %d Newton steps"
+                      % CENTER_STEPS)

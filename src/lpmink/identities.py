@@ -60,10 +60,6 @@ class SmoothBody:
         h0 = self._h0(xi)
         return self._a2 * xi / h0[..., None] + self.center
 
-    def H(self, xi):
-        """H = h^2 / 2, the Legendre potential of the support."""
-        return 0.5 * self.h(xi) ** 2
-
     def grad_H(self, xi):
         return self.h(xi)[..., None] * self.grad_h(xi)
 
@@ -149,11 +145,13 @@ def homogeneous_contour_integral(g, grid):
     """Contour integral of a degree -n homogeneous function.
 
     Equals the spherical integral of the restriction, evaluated by grid
-    quadrature: sum_a g(u_a) w_a.
+    quadrature: sum_a g(u_a) w_a. ``g`` maps the (N, n) array of grid
+    nodes to the N node values; any other shape raises IdentityError.
     """
     vals = np.asarray(g(grid.nodes), dtype=float)
     if vals.shape != (len(grid),):
-        vals = np.array([float(g(u)) for u in grid.nodes])
+        raise IdentityError("an integrand maps the (N, n) node array to N values; "
+                            "got shape %s for N = %d" % (vals.shape, len(grid)))
     return float(np.sum(vals * grid.weights))
 
 

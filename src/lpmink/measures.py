@@ -48,8 +48,8 @@ class SphericalMeasure:
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (len(grid),):
             raise MeasureError("masses must align with grid nodes")
-        if np.any(masses < 0):
-            raise MeasureError("atom masses must be nonnegative")
+        if not np.all(np.isfinite(masses) & (masses >= 0)):
+            raise MeasureError("atom masses must be finite and nonnegative")
         if masses.sum() <= 0:
             raise MeasureError("measure must have positive total mass")
         if density_bounds is not None:
@@ -129,16 +129,16 @@ class SphericalMeasure:
 def density_measure(f, grid):
     """Sample the density f on the grid: mass_a = f(u_a) * w_a.
 
+    ``f`` maps the (N, n) array of grid nodes to the N node values; any
+    other shape raises MeasureError, and an error raised by f propagates.
     Records (min f, max f) over the nodes as density bounds when the
     sampled density is strictly positive.
     """
-    try:
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if vals.shape != (len(grid),):
-            raise TypeError
-    except Exception:
-        vals = np.array([float(f(u)) for u in grid.nodes])
-    if np.any(vals < 0):
+    vals = np.asarray(f(grid.nodes), dtype=float)
+    if vals.shape != (len(grid),):
+        raise MeasureError("a density maps the (N, n) node array to N values; "
+                           "got shape %s for N = %d" % (vals.shape, len(grid)))
+    if not np.all(vals >= 0):
         raise MeasureError("density must be nonnegative on the nodes")
     if vals.max() <= 0:
         raise MeasureError("density sampled identically zero")
@@ -335,6 +335,8 @@ class SubspaceConcentrationReport:
     witnesses: list = field(default_factory=list)
 
 
+#: subspace_concentration_check's tolerance on atom distances and ratios
+SUBSPACE_TOL = 1e-9
 #: entries in one (block rows x atoms) array of the subspace candidate scan
 _SCAN_BLOCK = 1 << 13
 
@@ -353,14 +355,14 @@ def _line_distances(rows, dirs):
     return np.sqrt(sq)
 
 
-def _planes_through(rows, dirs, dist, tol):
+def _planes_through(rows, dirs, dist):
     """Split the atoms off each row's line into the planes through the row.
 
     An atom v off the line of u sits at the angle, mod pi, of its
     projection p onto u^perp (|p| = dist). Sorted by angle, consecutive
     atoms a, b share a plane through u while max(|p_a|, |p_b|) times their
     angle gap, each one's distance from the other's plane, is at most
-    ``tol``; the circle of angles is cut at its widest gap, so no run
+    SUBSPACE_TOL; the circle of angles is cut at its widest gap, so no run
     wraps. Returns (members, starts, owner): run r is the atoms
     members[starts[r]:starts[r + 1]] and passes through rows[owner[r]].
     """
@@ -368,7 +370,7 @@ def _planes_through(rows, dirs, dist, tol):
     e1 = np.cross(rows, axis)
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(rows, e1)
-    off = dist > tol
+    off = dist > SUBSPACE_TOL
     # atoms on the line sort last, behind the sentinel angle 2 pi
     theta = np.where(off, np.arctan2(e2 @ dirs.T, e1 @ dirs.T) % np.pi, 2 * np.pi)
     order = np.argsort(theta, axis=1, kind="stable")
@@ -386,14 +388,14 @@ def _planes_through(rows, dirs, dist, tol):
     shift = np.argmax(gap, axis=1)[:, None] + 1
     src = np.where(valid, (pos + shift) % np.maximum(count, 1), pos)
     order = np.take_along_axis(order, src, axis=1)
-    ends = np.take_along_axis(gap > tol, src, axis=1)
+    ends = np.take_along_axis(gap > SUBSPACE_TOL, src, axis=1)
     start = np.ones_like(ends)
     start[:, 1:] = ends[:, :-1]
     start &= valid
     return order[valid], np.flatnonzero(start[valid]), np.nonzero(start)[0]
 
 
-def subspace_concentration_check(measure, tol=1e-9):
+def subspace_concentration_check(measure):
     """Check mu(L cap S^{n-1}) <= (dim L / n) mu(S^{n-1}) over atom-spanned L.
 
     At equality, also verifies that a complementary subspace L' containing
@@ -401,14 +403,15 @@ def subspace_concentration_check(measure, tol=1e-9):
     subspace is spanned by support atoms.
 
     A candidate subspace is its set of atoms, and an atom lies in L when
-    its distance from L is at most ``tol``: |u ^ v| <= tol for the line
-    through v, |<u, w>| <= tol for a plane with unit normal w. Lines are
-    taken through every atom and, for n = 3, planes through every pair
-    of atoms off one line; ``_planes_through`` groups the planes through
-    each atom by one angle sort. Each subspace is counted once, at its
-    lowest-index atom. Witnesses list lines by that atom, then planes by
-    their lowest (i, j) pair. Cost O(k^2 log k) time and O(k) memory per
-    atom for k distinct atoms.
+    its distance from L is at most SUBSPACE_TOL: |u ^ v| <= SUBSPACE_TOL
+    for the line through v, |<u, w>| <= SUBSPACE_TOL for a plane with unit
+    normal w; a ratio within SUBSPACE_TOL of its limit is an equality.
+    Lines are taken through every atom and, for n = 3, planes through
+    every pair of atoms off one line; ``_planes_through`` groups the planes
+    through each atom by one angle sort. Each subspace is counted once, at
+    its lowest-index atom. Witnesses list lines by that atom, then planes
+    by their lowest (i, j) pair. Cost O(k^2 log k) time and O(k) memory
+    per atom for k distinct atoms.
     """
     dirs, masses = _distinct_atoms(measure)
     n = measure.dim
@@ -418,13 +421,13 @@ def subspace_concentration_check(measure, tol=1e-9):
     # each candidate as (dim, lowest atom i, lowest atom j off i's line);
     # only those near their limit can be witnesses: their atom sets are
     # kept and their ratios summed again in atom order below
-    floor = {d: 1.0 - (tol + 1e-12) * n / d for d in (1, 2)}
+    floor = {d: 1.0 - (SUBSPACE_TOL + 1e-12) * n / d for d in (1, 2)}
     atom_sets, worst = {}, 0.0
     step = max(1, _SCAN_BLOCK // k)
     for b in range(0, k, step):
         block = np.arange(b, min(b + step, k))
         dist = _line_distances(dirs[block], dirs)
-        on_line = dist <= tol
+        on_line = dist <= SUBSPACE_TOL
         lowest = np.argmax(on_line, axis=1) == block
         line_mass = on_line @ masses
         rows = np.flatnonzero(lowest)
@@ -433,7 +436,7 @@ def subspace_concentration_check(measure, tol=1e-9):
         for r in rows[scaled >= floor[1]]:
             atom_sets[1, int(block[r]), -1] = on_line[r].copy()
         if n == 3:
-            members, starts, owner = _planes_through(dirs[block], dirs, dist, tol)
+            members, starts, owner = _planes_through(dirs[block], dirs, dist)
             if len(starts) == 0:
                 continue
             low = np.minimum.reduceat(members, starts)
@@ -452,7 +455,7 @@ def subspace_concentration_check(measure, tol=1e-9):
         span_rows = dirs[[i, j] if dim_L == 2 else [i]]
         ratio = float(masses[on].sum() / total)
         limit = dim_L / n
-        equality = abs(ratio - limit) <= tol
+        equality = abs(ratio - limit) <= SUBSPACE_TOL
         complement_ok = False
         if equality:
             rest = dirs[~on]
@@ -464,10 +467,10 @@ def subspace_concentration_check(measure, tol=1e-9):
                 stacked = np.hstack([L_basis, rest_basis])
                 full_rank = (np.linalg.matrix_rank(stacked, tol=1e-9)
                              == L_basis.shape[1] + rest_basis.shape[1])
-                complement_ok = (rest_basis.shape[1] <= n - dim_L) and full_rank
+                complement_ok = bool(rest_basis.shape[1] <= n - dim_L and full_rank)
         witness = SubspaceWitness(dim_L, ratio, equality, complement_ok,
                                   np.nonzero(on)[0].tolist())
-        if ratio > limit + tol or (equality and not complement_ok):
+        if ratio > limit + SUBSPACE_TOL or (equality and not complement_ok):
             report.satisfied = False
             report.witnesses.append(witness)
         elif equality:
@@ -526,9 +529,10 @@ def symmetrize_hemisphere(measure):
 
         (mu0, simplex_vertices, A, cone_normals)
 
-    where mu0(omega) = sum_i mu(A^i omega) lives on the same grid and
-    ``cone_normals`` lists the inner normals w_j of the Dirichlet-Voronoi
-    cone D(v0) = {x : <x, w_j> >= 0}.
+    where mu0(omega) = sum_i mu(A^i omega) lives on the same grid, with
+    the group {A^i} attached, and ``cone_normals`` lists the inner normals
+    w_j of the Dirichlet-Voronoi cone D(v0) = {x : <x, w_j> >= 0}.
+    Raises MeasureError unless the grid is closed under A.
     """
     sub, _ = measure.on_support()
     hull_report = positive_hull_check(sub)
@@ -617,10 +621,5 @@ def symmetrize_hemisphere(measure):
         cone_normals.append(w / np.linalg.norm(w))
 
     group = [np.linalg.matrix_power(A, i) for i in range(d + 1)]
-    try:
-        mu0 = SphericalMeasure(measure.grid, new_masses, group=group)
-    except MeasureError:
-        # the atoms are A-closed by construction even when the full grid is
-        # not; keep the measure, drop the group annotation
-        mu0 = SphericalMeasure(measure.grid, new_masses)
+    mu0 = SphericalMeasure(measure.grid, new_masses, group=group)
     return mu0, simplex, A, np.array(cone_normals)

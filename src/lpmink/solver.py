@@ -126,7 +126,7 @@ class SolveReport:
 def _check_alignment(body, measure):
     nodes = measure.grid.nodes
     if len(nodes) != len(body.normals) or not np.array_equal(nodes, body.normals):
-        raise SolverError("measure grid and body normals must be index-aligned")
+        raise SolverError("body normals must be the measure's grid nodes, in order")
 
 
 def el_residual(body, xi, measure, profile):
@@ -459,12 +459,15 @@ def solve(measure, p, opts=None):
     sphere, but a measure supported in a closed hemisphere raises
     HypothesisError before any descent: symmetrize it with
     ``symmetrize_hemisphere`` first. A subnormal p is solved as p = 0,
-    which it equals in double precision.
+    which it equals in double precision. ValueError is raised unless
+    stages >= 1 and max_iter >= 0; max_iter = 0 only tries the finish.
     """
     opts = opts or SolveOptions()
     n = measure.dim
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
+    if opts.stages < 1 or opts.max_iter < 0:
+        raise ValueError("a solve needs stages >= 1 and max_iter >= 0")
     report = SolveReport(p=p)
     if abs(p) < np.finfo(float).tiny:
         # a subnormal p underflows |p| t^(p-1), while h^(1-p) rounds to h:
@@ -548,19 +551,12 @@ def verify(M, measure, p):
         residual_l1  = sum_i |S_{M,p}(u_i) - mu_i| / mu(S^{n-1})
         residual_linf = max_i |S_{M,p}(u_i) - mu_i| / max_i mu_i
 
-    and sp the (N,) array of S_{M,p} on the grid nodes. Bodies whose normals
-    are not index-aligned with the grid are matched to nearest grid nodes.
+    and sp the (N,) array of S_{M,p} on the grid nodes. M's normals must be
+    the grid's nodes, in order, as in every body ``solve`` returns; else
+    SolverError is raised.
     """
-    nodes = measure.grid.nodes
-    masses_body = lp_surface_area_measure(M, p)
-    if len(M.normals) == len(nodes) and np.array_equal(M.normals, nodes):
-        sp = masses_body
-    else:
-        sp = np.zeros(len(nodes))
-        d, idx = measure.grid._tree.query(M.normals)
-        if np.any(masses_body[d > 1e-8] > 1e-12 * max(masses_body.max(), 1e-300)):
-            raise SolverError("body carries Lp mass off the measure grid")
-        np.add.at(sp, idx[d <= 1e-8], masses_body[d <= 1e-8])
+    _check_alignment(M, measure)
+    sp = lp_surface_area_measure(M, p)
     diff = sp - measure.masses
     total = measure.total_mass
     res_l1 = float(np.abs(diff).sum() / total)

@@ -5,7 +5,6 @@ package: spherical measures live as weighted atoms on grid directions, and
 convex bodies are built as halfspace intersections over grid normals.
 """
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +19,10 @@ DEFAULT_RESOLUTION = {2: 256, 3: 500}
 
 #: angular tolerance for merging duplicate nodes during orbit closure
 ORBIT_MERGE_TOL = 1e-9
+#: entrywise tolerance of validate_group's orthogonality and closure tests
+GROUP_TOL = 1e-7
+#: distance within which node_permutations matches an image to a node
+NODE_MATCH_TOL = 1e-8
 
 
 class GridError(ValueError):
@@ -64,15 +67,13 @@ class DirectionGrid:
         total = weights.sum()
         if abs(total - sphere_area(dim)) > 0.005 * sphere_area(dim):
             raise GridError("weights must sum to the sphere area within 0.5%")
-        # pairwise distinctness; cKDTree keeps this O(N log N)
-        if nodes.shape[0] > 1:
-            d, _ = cKDTree(nodes).query(nodes, k=2)
-            if d[:, 1].min() <= 0.0:
-                raise GridError("grid contains coincident nodes")
+        self._tree = cKDTree(nodes)
+        # pairwise distinctness; the tree keeps this O(N log N)
+        if len(nodes) > 1 and self._tree.query(nodes, k=2)[0][:, 1].min() <= 0:
+            raise GridError("grid contains coincident nodes")
         self.dim = dim
         self.nodes = nodes
         self.weights = weights
-        self._tree = cKDTree(nodes)
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -107,20 +108,6 @@ class DirectionGrid:
         chord = d[:, 1].min()
         return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
 
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(int(data["dim"]), data["nodes"], data["weights"])
-
 
 def _circle_grid(resolution):
     angles = 2.0 * np.pi * np.arange(resolution) / resolution
@@ -141,11 +128,12 @@ def _fibonacci_grid(resolution):
     return nodes, weights
 
 
-def validate_group(group, dim, tol=1e-7):
+def validate_group(group, dim):
     """Check that ``group`` is a finite orthogonal group given numerically.
 
-    Requires every matrix to be orthogonal and the set to be closed under
-    composition within ``tol``; returns the matrices as float arrays.
+    Requires every matrix to be orthogonal (a non-finite entry fails),
+    the set to be closed under composition and to contain the identity,
+    each entrywise within GROUP_TOL; returns the matrices as float arrays.
     """
     try:
         mats = [np.asarray(A, dtype=float) for A in group]
@@ -156,14 +144,14 @@ def validate_group(group, dim, tol=1e-7):
     for A in mats:
         if A.shape != (dim, dim):
             raise GridError("group matrix has wrong shape")
-        if np.max(np.abs(A.T @ A - np.eye(dim))) > tol:
+        if not np.max(np.abs(A.T @ A - np.eye(dim))) <= GROUP_TOL:
             raise GridError("group matrix is not orthogonal")
     for A in mats:
         for B in mats:
             C = A @ B
-            if min(np.max(np.abs(C - M)) for M in mats) > tol:
+            if min(np.max(np.abs(C - M)) for M in mats) > GROUP_TOL:
                 raise GridError("group is not closed under composition")
-    if min(np.max(np.abs(M - np.eye(dim))) for M in mats) > tol:
+    if min(np.max(np.abs(M - np.eye(dim))) for M in mats) > GROUP_TOL:
         raise GridError("group does not contain the identity")
     return mats
 
@@ -196,19 +184,20 @@ def _orbit_closure(nodes, mats):
     return kept
 
 
-def node_permutations(nodes, mats, tol=1e-8):
+def node_permutations(nodes, mats):
     """Index permutations of a node set induced by the group ``mats``.
 
     For each group element A returns the index array ``pi`` with
-    ``nodes[pi[i]] == A @ nodes[i]`` within ``tol``. Raises GridError when
-    an image misses the node set or A does not map it onto itself.
+    ``nodes[pi[i]] == A @ nodes[i]`` within NODE_MATCH_TOL. Raises
+    GridError when an image misses the node set or A does not map it onto
+    itself.
     """
     tree = cKDTree(nodes)
     perms = []
     for A in mats:
         images = nodes @ A.T
         d, idx = tree.query(images)
-        if d.max() > tol:
+        if d.max() > NODE_MATCH_TOL:
             raise GridError("node set is not closed under the group: an "
                             "image misses it by %.2e" % d.max())
         if len(np.unique(idx)) != len(nodes):

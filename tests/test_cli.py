@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lpmink import cli, solver, sphere
 from lpmink.cli import main
@@ -90,6 +92,23 @@ def test_check_good_measure_exits_0(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["check", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)]) == 0
+
+
+def test_check_reports_an_equality_witness(tmp_path):
+    # each axis carries half the mass: equality in the subspace
+    # concentration condition, with a complementary line
+    cfg = {
+        "n": 2, "grid": {"resolution": 64},
+        "measure": {"atoms": [{"u": [1, 0], "mass": 1.0},
+                              {"u": [0, 1], "mass": 1.0}]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["check", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    witnesses = report["subspace_concentration"]["witnesses"]
+    assert [(w["equality"], w["complement_exists"]) for w in witnesses] == [(True, True)] * 2
 
 
 def test_check_default_n3_grid_finishes(tmp_path):
@@ -369,6 +388,42 @@ def test_stalled_solve_exits_3_with_its_body(tmp_path):
     assert [s["iterations"] for s in report["stages"]] == [2, 2]
 
 
+def test_solve_raising_the_diameter_guard_exits_3_with_an_error_report(tmp_path):
+    # near p = -n the descent's iterates grow past the diameter guard
+    cfg = {
+        "n": 2, "p": -1.99,
+        "measure": {"density": "dipole", "params": {"a": 0.4}},
+        "grid": {"resolution": 64},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["solve", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["command"] == "solve"
+    assert "diameter exceeded the guard" in report["error"]
+    assert not (tmp_path / "body.json").exists()
+
+
+def test_measure_file_written_by_smooth_feeds_check_and_solve(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "grid": {"resolution": 64}, "m": 8,
+        "measure": {"atoms": [{"u": [1, 0], "mass": 1.0},
+                              {"u": [0, 1], "mass": 2.0},
+                              {"u": [-0.6, -0.8], "mass": 1.5}]}}))
+    assert run_cli(["smooth", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path / "smooth")]) == 0
+    cfg = {"n": 2, "p": 0.5, "grid": {"resolution": 64},
+           "measure": {"file": str(tmp_path / "smooth" / "measure.json")}}
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("check", "solve"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path / command)]) == 0
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    assert report["residual_l1"] <= 1e-9
+
+
 def test_solve_and_verify_a_density_vanishing_on_an_arc(tmp_path):
     # the density is 0 on 1/3 of the circle; the body still has one row
     # per grid node, and verify reproduces solve's residual from body.json
@@ -466,15 +521,124 @@ def test_verify_command(tmp_path):
                "measure": {"density": "dipole", "params": 5}}),
     ("solve", {"n": 2, "p": 0.5,
                "measure": {"density": "bump", "params": {"center": "x"}}}),
+    ("identity", {"n": 2, "p": -1.0, "ellipse": 5}),
+    ("identity", {"n": 2, "p": -1.0, "ellipse": ["a", 1]}),
+    ("identity", {"n": 2, "p": -1.0, "ellipse": {"a": 1, "b": 2}}),
+    ("identity", {"n": 2, "p": -1.0, "center": "x"}),
+    ("identity", {"n": 2, "p": -1.0, "center": [0.1]}),
+    ("check", {"n": 2, "measure": {"density": []}}),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"density": {}}}),
+    ("solve --stages 0", {"n": 2, "p": 0.5}),
+    ("solve", {"n": 2, "p": 0.5, "solver": {"stages": -1}}),
+    ("solve", {"n": 2, "p": 0.5, "solver": {"max_iter": -1}}),
+    ("verify", {"n": 2, "p": 0.5, "grid": {"resolution": 64},
+                "body_file": "off-grid-square.json"}),
+    ("solve", {"n": 2, "p": 0.5,
+               "measure": {"density": "bump", "params": {"center": [1, 0, 0]}}}),
+    ("smooth", {"n": 2, "grid": {"symmetry": [[[1, 0], [0, 1]], [[None, 0], [0, -1]]]},
+                "measure": {"atoms": [{"u": [1, 0], "mass": 1.0}]}}),
+    ("check", {"n": 2, "measure": {"atoms": [{"u": [1, 0], "mass": 1.0},
+                                             {"u": [0, 1], "mass": None},
+                                             {"u": [-1, 0], "mass": 1.0},
+                                             {"u": [0, -1], "mass": 1.0}]}}),
+    ("symmetrize", {"n": 2, "measure": {"atoms": [{"u": [1, 0], "mass": []}]}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):
     monkeypatch.chdir(tmp_path)
     # a body file without normals
     Path("offsets-only.json").write_text(json.dumps({"offsets": [1.0] * 4}))
+    # a square whose normals, at 1, 91, 181 and 271 degrees, are no grid nodes
+    angles = np.radians([1.0, 91.0, 181.0, 271.0])
+    Path("off-grid-square.json").write_text(json.dumps({
+        "normals": np.column_stack([np.cos(angles), np.sin(angles)]).tolist(),
+        "offsets": [1.0] * 4}))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": {"density": "const"}, **cfg}))
-    assert run_cli([command, "--config", str(cfg_path),
-                    "--output-dir", str(tmp_path)]) == 1
+    assert run_cli(command.split() + ["--config", str(cfg_path),
+                                      "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NODES16 = sphere.build_grid(2, 16).nodes
+#: a small valid config per command, at resolution 16; the verify body is
+#: written by the test, and "missing.json" never exists
+_VALID = {
+    "solve": {"n": 2, "p": 0.5, "grid": {"resolution": 16},
+              "measure": {"density": "dipole", "params": {"a": 0.3}},
+              "solver": {"stages": 2, "max_iter": 50}},
+    "verify": {"n": 2, "p": 0.5, "grid": {"resolution": 16},
+               "measure": {"density": "const", "params": {"c": 1.0}},
+               "body_file": "body-in.json"},
+    "identity": {"n": 2, "p": -1.0, "ellipse": [1.5, 1.0], "center": [0.1, 0.0],
+                 "grid": {"resolution": 16}},
+    "check": {"n": 2, "grid": {"resolution": 16},
+              "measure": {"atoms": [{"u": u, "mass": 1.0}
+                                    for u in _NODES16[[0, 5, 10]].tolist()]}},
+    "smooth": {"n": 2, "m": 4,
+               "grid": {"resolution": 16,
+                        "symmetry": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
+               "measure": {"atoms": [{"u": [1.0, 0.0], "mass": 1.0},
+                                     {"u": [-1.0, 0.0], "mass": 2.0}]}},
+    "symmetrize": {"n": 2, "grid": {"resolution": 16},
+                   "measure": {"atoms": [{"u": [1.0, 0.0], "mass": 1.0},
+                                         {"u": [0.0, 1.0], "mass": 2.0}]}},
+}
+
+
+def _write_verify_body():
+    Path("body-in.json").write_text(json.dumps(
+        {"normals": _NODES16.tolist(), "offsets": [1.0] * 16}))
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_small_valid_configs_exit_0(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    _write_verify_body()
+    Path("cfg.json").write_text(json.dumps(_VALID[command]))
+    assert run_cli([command, "--config", "cfg.json",
+                    "--output-dir", str(tmp_path)]) == 0
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a JSON value, outermost first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_CASES = [(command, path) for command, cfg in _VALID.items()
+          for path in _paths(cfg)]
+# strings come from a fixed list, so no file a config names can be a
+# device or a large file; the test runs in tmp_path, where none of them exists
+_STRINGS = st.sampled_from(["", "x", "1", "missing.json"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64)
+    | st.floats(-3.0, 64.0) | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_STRINGS, inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_CASES), value=_JSON)
+def test_no_config_ends_in_a_traceback(tmp_path, monkeypatch, capsys, case, value):
+    monkeypatch.chdir(tmp_path)
+    _write_verify_body()
+    command, path = case
+    cfg = json.loads(json.dumps(_VALID[command]))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    Path("cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run_cli([command, "--config", "cfg.json", "--output-dir", str(tmp_path)])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

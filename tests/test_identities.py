@@ -91,6 +91,12 @@ def test_contour_integral_constant(grid720):
     assert val3 == pytest.approx(3 * unit_ball_volume(3), rel=1e-10)
 
 
+def test_contour_integral_takes_the_node_array(grid720):
+    # an integrand written for one node is rejected, not retried per node
+    with pytest.raises(IdentityError, match=r"\(N, n\) node array"):
+        homogeneous_contour_integral(lambda u: np.linalg.norm(u) ** (-2.0), grid720)
+
+
 def test_contour_integral_polar_volume(grid720):
     ell = ellipsoid_model([2.0, 1.0])
     val = homogeneous_contour_integral(lambda U: ell.htilde(U) ** (-2.0),

@@ -53,6 +53,22 @@ def test_density_measure_rejects_zero_and_negative():
         density_measure(lambda U: np.zeros(len(U)), g)
     with pytest.raises(MeasureError):
         density_measure(lambda U: -np.ones(len(U)), g)
+    with pytest.raises(MeasureError):
+        density_measure(lambda U: np.full(len(U), np.nan), g)
+
+
+def test_density_measure_takes_the_node_array():
+    g = build_grid(2, 64)
+    # a density written for one node sees the whole (N, n) array and is
+    # rejected, not retried node by node
+    with pytest.raises(MeasureError, match=r"\(N, n\) node array"):
+        density_measure(lambda u: 1.0 + u[0], g)
+
+    def failing(U):
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        density_measure(failing, g)
 
 
 def test_truncate_density_three_cases():
@@ -173,6 +189,16 @@ def test_symmetrize_quarter_arc_hemispheres_positive():
         t = 2 * np.pi * k / 360 + 0.0005
         w = np.array([np.cos(t), np.sin(t)])
         assert mu0.masses[(g.nodes @ w) > 1e-12].sum() > 0
+
+
+def test_symmetrize_rejects_a_grid_not_closed_under_the_rotation():
+    # the atom's images under the 120 degree rotation are nodes, but the
+    # node at 50 degrees has no image: mu0 cannot carry the group
+    angles = np.radians([0.0, 50.0, 120.0, 240.0])
+    g = DirectionGrid(2, np.column_stack([np.cos(angles), np.sin(angles)]),
+                      np.full(4, np.pi / 2))
+    with pytest.raises(MeasureError, match="not closed under the group"):
+        symmetrize_hemisphere(SphericalMeasure(g, [1.0, 0.0, 0.0, 0.0]))
 
 
 def test_symmetrize_rejects_full_positive_hull():

@@ -206,6 +206,17 @@ def test_solve_rejects_bad_p(grid2):
         solve(mu, -2.0)
 
 
+def test_solve_rejects_bad_options(grid2):
+    mu = uniform_measure(grid2)
+    for opts in (SolveOptions(stages=0), SolveOptions(max_iter=-1)):
+        with pytest.raises(ValueError, match="stages >= 1"):
+            solve(mu, 0.5, opts)
+    # max_iter = 0 takes no descent step and tries the finish only
+    M, report = solve(mu, 0.5, SolveOptions(max_iter=0))
+    assert report.converged
+    assert report.stages[0].iterations == 0
+
+
 def test_verify_self_comparison():
     nodes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                       [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
@@ -230,6 +241,17 @@ def test_verify_detects_scaling_mismatch():
     doubled = cube.scaled(2.0)
     l1, linf, _ = verify(doubled, mu, p)
     assert l1 == pytest.approx(2.0 ** (3 - p) - 1.0, rel=1e-9)
+
+
+def test_verify_requires_the_grid_s_normals():
+    nodes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                      [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+    grid = DirectionGrid(3, nodes, np.full(6, sphere_area(3) / 6))
+    cube = wulff_shape(3, nodes, np.ones(6))
+    mu = SphericalMeasure(grid, lp_surface_area_measure(cube, 0.5))
+    # the same cube with its normals in another order
+    with pytest.raises(SolverError, match="grid nodes, in order"):
+        verify(wulff_shape(3, nodes[::-1], np.ones(6)), mu, 0.5)
 
 
 def test_solve_invariant_measure_without_grid_permutations(grid2):

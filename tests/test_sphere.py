@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -86,14 +84,6 @@ def test_orbit_average_is_projection():
     assert np.allclose(mu.orbit_average(av), av, atol=1e-12)
     for pi in mu.permutations:
         assert np.allclose(av[pi], av, atol=1e-12)
-
-
-def test_grid_json_roundtrip(grid2):
-    data = json.loads(grid2.to_json())
-    g2 = DirectionGrid.from_dict(data)
-    assert g2.dim == 2
-    assert np.allclose(g2.nodes, grid2.nodes)
-    assert np.allclose(g2.weights, grid2.weights)
 
 
 def test_build_grid_errors():
