@@ -243,7 +243,7 @@ def test_verify_detects_scaling_mismatch():
     assert l1 == pytest.approx(2.0 ** (3 - p) - 1.0, rel=1e-9)
 
 
-def test_verify_requires_the_grid_s_normals():
+def test_verify_requires_the_grid_nodes_in_order():
     nodes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                       [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
     grid = DirectionGrid(3, nodes, np.full(6, sphere_area(3) / 6))
