@@ -306,9 +306,7 @@ def cmd_identity(cfg, outdir):
     if not (-n <= p < 1) or p == 0:
         raise ConfigError("identity requires p in [-n, 1), p != 0")
     semiaxes = _require(cfg, "ellipse", _vector(n), [1.0] * n)
-    center = cfg.get("center")
-    if center is not None:
-        center = _require(cfg, "center", _vector(n))
+    center = _require(cfg, "center", _vector(n), [0.0] * n)
     resolution = _require(_grid_config(cfg), "resolution", int,
                           720 if n == 2 else 2000)
     grid = build_grid(n, resolution)
