@@ -2,12 +2,12 @@
 
 Bodies are built as Wulff shapes (intersections of halfspaces <x,u_i> <= h_i)
 in dimension 2 or 3 by polarity: translate by an interior point (the
-Chebyshev center unless a hint is feasible), dualize, and take one convex
-hull of the dual points. That hull holds the whole body: each dual facet is
-a vertex, each dual hull vertex is an active constraint (a facet), and
-neighbouring dual facets span the edges. Facet areas, volume, centroid and
-the ridges where two facets meet are read off this structure; active
-constraints keep their offsets as support values.
+caller's hint, which must be inside, else the Chebyshev center), dualize,
+and take one convex hull of the dual points. That hull holds the whole
+body: each dual facet is a vertex, each dual hull vertex is an active
+constraint (a facet), and neighbouring dual facets span the edges. Facet
+areas, volume, centroid and the ridges where two facets meet are read off
+this structure; active constraints keep their offsets as support values.
 """
 
 import numpy as np
@@ -253,8 +253,11 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     admitting a bounded, full-dimensional intersection. Inactive constraints
     are kept in the output with zero facet area. ``validate=False`` skips
     the construction-time invariant checks (used by solver inner loops;
-    every body handed back to callers is validated). ``interior_hint``
-    short-circuits the Chebyshev LP when it is comfortably feasible.
+    every body handed back to callers is validated). The body is built
+    about ``interior_hint`` when one is given, else about the Chebyshev
+    center; a hint that is not inside every halfspace by at least
+    1e-6 max(1, max|h|) raises WulffError, as do non-finite normals or
+    offsets.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -262,21 +265,22 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
         raise GeometryError("normals must be an (m, %d) array" % dim)
     if dim not in (2, 3):
         raise GeometryError("only dimensions 2 and 3 are supported")
+    if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+        raise WulffError("normals and offsets must be finite")
     norms = np.linalg.norm(normals, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise GeometryError("normals must be unit vectors")
     if len(offsets) != len(normals):
         raise GeometryError("offsets must align with normals")
 
-    center = None
-    if interior_hint is not None:
-        hint = np.asarray(interior_hint, dtype=float)
-        gap = float(np.min(offsets - normals @ hint))
-        if gap > 1e-6 * max(1.0, float(np.max(np.abs(offsets)))):
-            center = hint
-    if center is None:
-        center, radius = chebyshev_center(normals, offsets)
-    shifted = offsets - normals @ center  # all >= radius > 0
+    if interior_hint is None:
+        center, _ = chebyshev_center(normals, offsets)
+    else:
+        center = np.asarray(interior_hint, dtype=float)
+        gap = float(np.min(offsets - normals @ center))
+        if not gap > 1e-6 * max(1.0, float(np.max(np.abs(offsets)))):
+            raise WulffError("interior hint is not inside the halfspaces")
+    shifted = offsets - normals @ center  # all > 0: the center is interior
     try:
         dual_hull = ConvexHull(normals / shifted[:, None])
     except QhullError as exc:

@@ -181,12 +181,11 @@ def _multiplier_scale(lambda0, p, n):
 def _finish_state(measure, p, s, hint):
     """Body and F(s) = (1-p) s + log S(e^s) - log mu at log-support s.
 
-    Returns None when the Wulff shape fails or a facet is inactive, where
-    log S is undefined.
+    Returns None when wulff_shape raises, as for a non-finite h = e^s or
+    a hint outside the shape, or a facet is inactive, where log S is
+    undefined.
     """
     h = np.exp(s)
-    if not np.all(np.isfinite(h)):
-        return None
     try:
         body = wulff_shape(measure.dim, measure.grid.nodes, h, validate=False,
                            interior_hint=hint)
@@ -206,22 +205,23 @@ def newton_finish(measure, p, h):
 
         J = (1-p) I + diag(1/S) (dS/dh) diag(h),
 
-    with dS/dh from ``facet_jacobian``. ``h`` must be positive, which puts
-    the origin inside the start's Wulff shape, so it is passed as the
-    interior hint in place of the Chebyshev LP. When some facet of that
-    Wulff shape is inactive, every offset first gains FINISH_MARGIN times
-    their mean, which adds a circumscribed polytope and makes every facet
-    active. A step is halved until the mass-weighted merit sum_i mu_i F_i^2
-    or |F|^2 falls by the Armijo factor; the Newton direction descends
-    both. Weighting by mass keeps facets of tiny mass but large
-    log-residual, as where a smoothed density sits at its floor, from
-    holding every step down; accepting a fall in |F|^2 as well keeps the
-    n = 2 dipole at p = 0.99 well inside FINISH_STEPS. A trial point with
-    an inactive facet is rejected; for a measure with a group the step is
-    orbit-averaged. Stops when verify's residual_l1 is at most FINISH_TOL,
-    or when the mass-weighted correction sqrt(sum_i mu_i ds_i^2 / total)
-    is at most 1e-13 max(1, max|s|), the rounding floor (at n = 2 it grows
-    as N^2 eps); that stop succeeds when residual_l1 is at most FLOOR_TOL.
+    with dS/dh from ``facet_jacobian``. ``h`` must be positive, so the
+    origin is the interior hint of the start's Wulff shape. When
+    wulff_shape refuses that hint, or some facet of the shape is inactive,
+    every offset first gains FINISH_MARGIN times their mean, which adds a
+    circumscribed polytope and makes every facet active. A step is halved
+    until the mass-weighted merit sum_i mu_i F_i^2 or |F|^2 falls by the
+    Armijo factor; the Newton direction descends both. Weighting by mass
+    keeps facets of tiny mass but large log-residual, as where a smoothed
+    density sits at its floor, from holding every step down; accepting a
+    fall in |F|^2 as well keeps the n = 2 dipole at p = 0.99 well inside
+    FINISH_STEPS. A trial point is rejected when a facet is inactive or
+    its Wulff shape does not hold the current centroid, its interior hint;
+    for a measure with a group the step is orbit-averaged. Stops when
+    verify's residual_l1 is at most FINISH_TOL, or when the mass-weighted
+    correction sqrt(sum_i mu_i ds_i^2 / total) is at most
+    1e-13 max(1, max|s|), the rounding floor (at n = 2 it grows as
+    N^2 eps); that stop succeeds when residual_l1 is at most FLOOR_TOL.
 
     Returns (body, steps, residual_l1) on success and None when the Wulff
     shape degenerates, the line search fails, FINISH_STEPS run out or the
@@ -324,9 +324,9 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     For a measure with an invariance group the step direction is r averaged
     over the group's orbits, so the iterates stay invariant.
     Step sizes follow a safeguarded Barzilai-Borwein rule; a trial step
-    where some antipodal pair of grid nodes has h_i + h_j <= 0 is halved
-    without building its empty Wulff shape. Terminates when
-    max |r| <= EL_TOL * lambda_eps or after opts.max_iter iterations.
+    whose Wulff shape does not hold the current center (the interior hint)
+    is halved. Terminates when max |r| <= EL_TOL * lambda_eps or after
+    opts.max_iter iterations.
 
     Returns (body, xi, StageRecord). When ``energy_trace`` is a list it
     receives the energy of every accepted iterate, in order. ``xi0`` warm
@@ -345,7 +345,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     finish = finish or (lambda body, xi, lambda_eps, last: False)
     if h0 is None:
         # every unit-offset plane is at distance 1 from the origin, which
-        # spares the Chebyshev LP
+        # makes the origin the interior hint
         h = np.ones(len(measure.grid))
         if xi0 is None:
             xi0 = np.zeros(measure.dim)
@@ -361,7 +361,6 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
     prev_h = None
     prev_dir = None
-    first, second = measure.grid.antipodes
 
     def record(iters, res, converged):
         body._check_invariants()
@@ -394,15 +393,10 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
         step = eta
         dir_norm2 = float(direction @ direction)
         for _ in range(60):
-            cand = h - step * direction
-            if np.any(cand[first] + cand[second] <= 0):
-                # the halfspaces of an antipodal pair leave no interior,
-                # which wulff_shape would find only after the Chebyshev LP
-                step *= 0.5
-                continue
             try:
                 nbody, nxi, nenergy, nr, nlam = evaluate_offsets(
-                    measure, profile, cand, xi0=xi, validate=False)
+                    measure, profile, h - step * direction, xi0=xi,
+                    validate=False)
             except (WulffError, SolverError, CenterError):
                 step *= 0.5
                 continue

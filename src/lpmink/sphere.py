@@ -5,8 +5,6 @@ package: spherical measures live as weighted atoms on grid directions, and
 convex bodies are built as halfspace intersections over grid normals.
 """
 
-from functools import cached_property
-
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import gamma
@@ -77,19 +75,6 @@ class DirectionGrid:
 
     def __len__(self):
         return self.nodes.shape[0]
-
-    @cached_property
-    def antipodes(self):
-        """Index arrays (i, j), i < j, of the antipodal node pairs.
-
-        Nodes i and j pair when |u_i + u_j| <= 1e-12. Offsets with
-        h_i + h_j <= 0 on such a pair bound no interior, so they admit no
-        Wulff shape. Every node of an even n = 2 grid has a partner; the
-        n = 3 Fibonacci grids have none.
-        """
-        d, j = self._tree.query(-self.nodes)
-        i = np.flatnonzero((d <= 1e-12) & (np.arange(len(j)) < j))
-        return i, j[i]
 
     def nearest_node(self, u):
         """Index of the grid node closest to direction u."""

@@ -542,6 +542,9 @@ def test_verify_command(tmp_path):
                                              {"u": [-1, 0], "mass": 1.0},
                                              {"u": [0, -1], "mass": 1.0}]}}),
     ("symmetrize", {"n": 2, "measure": {"atoms": [{"u": [1, 0], "mass": []}]}}),
+    ("verify", {"n": 2, "p": 0.5, "body_file": "nan-offset.json"}),
+    ("verify", {"n": 2, "p": 0.5, "body_file": "infinite-offset.json"}),
+    ("verify", {"n": 2, "p": 0.5, "body_file": "nan-normal.json"}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):
@@ -553,6 +556,14 @@ def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypat
     Path("off-grid-square.json").write_text(json.dumps({
         "normals": np.column_stack([np.cos(angles), np.sin(angles)]).tolist(),
         "offsets": [1.0] * 4}))
+    # the unit square with a NaN or infinite offset, or a NaN normal
+    square = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    for name, normals, offsets in [
+            ("nan-offset", square, [1.0, float("nan"), 1.0, 1.0]),
+            ("infinite-offset", square, [1.0, float("inf"), 1.0, 1.0]),
+            ("nan-normal", [[float("nan"), 0.0]] + square[1:], [1.0] * 4)]:
+        Path(name + ".json").write_text(json.dumps({"normals": normals,
+                                                    "offsets": offsets}))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": {"density": "const"}, **cfg}))
     assert run_cli(command.split() + ["--config", str(cfg_path),

@@ -8,7 +8,7 @@ from lpmink.energy import build_profile, energy, optimal_center
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete)
-from lpmink import cli, solver
+from lpmink import cli, geometry, solver
 from lpmink.solver import (FINISH_TOL, SolveOptions, SolverError, el_residual,
                            evaluate_offsets, minimize_fixed_eps, solve, verify)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area, unit_ball_volume
@@ -507,20 +507,47 @@ def test_solve_dipole_at_p_0_99_reproduces_the_measure(grid2):
 @example(N=64, seed=1, pair=5, gap=5e-324, ulps=0)
 @example(N=256, seed=2, pair=37, gap=0.0, ulps=1)
 def test_collapsed_antipodal_pair_has_no_wulff_shape(N, seed, pair, gap, ulps):
-    # the descent skips a trial with h_i + h_j <= 0 on a pair the grid
-    # lists as antipodal, since its Wulff shape would raise: on an even
-    # circle grid every node has such a partner
+    # offsets with h_i + h_j <= 0 on an antipodal pair bound no interior,
+    # so the Wulff shape raises and the descent halves such a trial step:
+    # on an even circle grid node i's partner is node (i + N // 2) % N
     grid = build_grid(2, N)
-    first, second = grid.antipodes
-    assert len(first) == N // 2
-    assert np.array_equal(np.sort(np.concatenate([first, second])), np.arange(N))
+    i = pair % N
+    j = (i + N // 2) % N
+    assert np.linalg.norm(grid.nodes[i] + grid.nodes[j]) <= 1e-12
     rng = np.random.default_rng(seed)
     # positive offsets: a body with the origin inside, until one pair collapses
     h = rng.uniform(0.5, 2.0, N) * 10.0 ** rng.uniform(-3.0, 2.0)
     wulff_shape(2, grid.nodes, h, validate=False)
-    i, j = first[pair % len(first)], second[pair % len(first)]
     h[j] = -h[i] - gap - ulps * np.spacing(h[i])
     assert h[i] + h[j] <= 0
     for hint in (None, np.zeros(2), rng.uniform(-1.0, 1.0, 2)):
         with pytest.raises(WulffError):
             wulff_shape(2, grid.nodes, h, validate=False, interior_hint=hint)
+
+
+def test_an_interior_hint_is_a_contract(grid2, monkeypatch):
+    # with a hint, wulff_shape never falls back to the Chebyshev LP; energy
+    # keeps its own reference, so optimal_center's cold start still works.
+    # Criterion 03's third polygon and the benchmark's round-trip polygon 1
+    # are built before the LP is refused
+    poly = random_polygon(np.random.default_rng((0, 1)), k=12)
+    mus = [criterion_03_measure(grid2, 2, -1.0),
+           smooth_discrete(poly.normals, lp_surface_area_measure(poly, -1.0),
+                           grid2, m=32)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wulff_shape ran the Chebyshev LP")
+
+    monkeypatch.setattr(geometry, "chebyshev_center", refuse)
+    square = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
+    # the margin is 1e-6 max(1, max|h|): 1e-6 for the unit square, 1e-5 at 10
+    for scale, x in [(1.0, 2.0), (1.0, 1.0), (1.0, 1.0 - 5e-7), (10.0, 10.0 - 5e-6)]:
+        with pytest.raises(WulffError):
+            wulff_shape(2, square, np.full(4, scale), interior_hint=[x, 0.0])
+    for hint in ([0.3, -0.2], [1.0 - 2e-6, 0.0]):
+        body = wulff_shape(2, square, np.ones(4), interior_hint=hint)
+        assert body.volume == pytest.approx(4.0, abs=1e-12)
+        assert np.allclose(np.sort(np.abs(body.vertices), axis=0), 1.0)
+    for mu in mus:
+        M, report = solve(mu, -1.0)
+        assert report.converged and report.residual_l1 <= 1e-9
