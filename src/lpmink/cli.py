@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +205,9 @@ def build_problem_measure(cfg, grid):
                           "(density | atoms | file)")
     if "file" in spec:
         data = _read_json(spec["file"], "measure file")
+        if not isinstance(data, dict) or "file" in data:
+            raise ConfigError("a measure file must hold a JSON object "
+                              "that names no other file")
         spec = {"atoms": data["atoms"]} if "atoms" in data else data
         return build_problem_measure({**cfg, "measure": spec}, grid)
     if "density" in spec:
@@ -265,9 +268,8 @@ def cmd_solve(cfg, outdir):
             sys.stderr.write("hypothesis check failed: %s\n" % exc)
             return EXIT_HYPOTHESIS
         return EXIT_NONCONVERGED
-    payload = report.to_dict()
-    payload.update({"command": "solve", "n": n})
-    _dump_json(outdir / "report.json", payload)
+    _dump_json(outdir / "report.json",
+               {**report.to_dict(), "command": "solve", "n": n})
     # solve() verified M, which is index-aligned with the grid
     _dump_residuals_csv(outdir / "residuals.csv", grid.nodes, measure.masses,
                         lp_surface_area_measure(M, p))
@@ -329,26 +331,9 @@ def cmd_check(cfg, outdir):
     measure = build_problem_measure(cfg, grid)
     hull = positive_hull_check(measure)
     subspace = subspace_concentration_check(measure)
-    payload = {
-        "command": "check",
-        "positive_hull": {
-            "passes": bool(hull.passes), "L_dim": int(hull.L_dim),
-            "pos_equals_L": bool(hull.pos_equals_L),
-            "antipodal_pair": bool(hull.antipodal_pair),
-            "detail": hull.detail,
-        },
-        "subspace_concentration": {
-            "satisfied": bool(subspace.satisfied),
-            "worst_ratio": float(subspace.worst_ratio),
-            "witnesses": [
-                {"dim": w.dim, "ratio": w.ratio, "equality": w.equality,
-                 "complement_exists": w.complement_exists,
-                 "atom_indices": w.atom_indices}
-                for w in subspace.witnesses
-            ],
-        },
-    }
-    _dump_json(outdir / "report.json", payload)
+    _dump_json(outdir / "report.json", {"command": "check",
+                                        "positive_hull": asdict(hull),
+                                        "subspace_concentration": asdict(subspace)})
     if not hull.passes or not subspace.satisfied:
         return EXIT_HYPOTHESIS
     return EXIT_OK

@@ -306,7 +306,7 @@ def positive_hull_check(measure):
                  and np.linalg.norm(lam @ D) <= 1e-9 * lam.sum())
     pos_equals_L = bool(certified) or _positive_hull_lp(dirs)
 
-    antipodal = (len(dirs) == 2 and np.linalg.norm(dirs[0] + dirs[1]) <= 1e-9)
+    antipodal = bool(len(dirs) == 2 and np.linalg.norm(dirs[0] + dirs[1]) <= 1e-9)
     if L_dim == n:
         return PositiveHullReport(True, L_dim, pos_equals_L,
                                   detail="support spans the ambient space")
@@ -534,15 +534,14 @@ def symmetrize_hemisphere(measure):
     w_j of the Dirichlet-Voronoi cone D(v0) = {x : <x, w_j> >= 0}.
     Raises MeasureError unless the grid is closed under A.
     """
-    sub, _ = measure.on_support()
-    hull_report = positive_hull_check(sub)
+    hull_report = positive_hull_check(measure)
     if hull_report.pos_equals_L:
         # pos supp = lin supp leaves no direction with <u, v0> >= 0 on the
         # support; the construction does not apply
         raise HypothesisError("positive hull equals the linear span (%s)"
                               % (hull_report.detail or "no hemisphere"))
 
-    dirs, _ = _distinct_atoms(sub)
+    dirs, _ = _distinct_atoms(measure)
     n = measure.dim
     k = len(dirs)
     G = dirs @ dirs.T
@@ -602,24 +601,19 @@ def symmetrize_hemisphere(measure):
         if np.linalg.norm(A @ simplex[i] - simplex[i + 1]) > 1e-9:
             raise MeasureError("cyclic rotation failed to map the simplex")
 
-    # mu0 = sum of pushforwards by A^{-i}; atoms must land on grid nodes
-    new_masses = np.zeros(len(measure.grid))
-    rot = np.eye(n)
-    for i in range(d + 1):
-        images = sub.grid.nodes @ rot  # (A^{-i}) u = u @ (A^{-i})^T = u @ A^i
-        dist, idx = measure.grid._tree.query(images)
-        if dist.max() > 1e-9:
-            raise MeasureError(
-                "rotated atoms miss the grid by %.2e; use a grid closed under "
-                "the simplex rotation" % dist.max())
-        np.add.at(new_masses, idx, sub.masses)
-        rot = rot @ A
-
     cone_normals = []
     for j in range(1, d + 1):
         w = simplex[0] - simplex[j]
         cone_normals.append(w / np.linalg.norm(w))
 
+    # mu0(u) = sum_i mu(A^i u), read through the node permutations of the
+    # group {A^i}
     group = [np.linalg.matrix_power(A, i) for i in range(d + 1)]
-    mu0 = SphericalMeasure(measure.grid, new_masses, group=group)
+    try:
+        perms = node_permutations(measure.grid.nodes, group)
+    except GridError as exc:
+        raise MeasureError("%s; use a grid closed under the simplex rotation"
+                           % exc) from exc
+    mu0 = SphericalMeasure(measure.grid, sum(measure.masses[pi] for pi in perms),
+                           group=group)
     return mu0, simplex, A, np.array(cone_normals)

@@ -13,7 +13,7 @@ alone; the options a caller sets are SolveOptions' max_iter and stages.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
@@ -68,11 +68,10 @@ class StageRecord:
     """One continuation stage, or the Newton finish.
 
     A descent stage counts its accepted steps in ``iterations``. The
-    finish's record comes last, with ``iterations`` 0, the Newton steps in
-    ``newton_steps`` and the l1 residual it reached in ``residual_l1``; its
-    Euler-Lagrange data (``residual`` None when the optimal center cannot
-    be found) belong to the finished body, normalized to volume one, at
-    the schedule's final eps.
+    finish's record comes last, with ``iterations`` 0; its Euler-Lagrange
+    data (``residual`` None when the optimal center cannot be found)
+    belong to the finished body, normalized to volume one, at the
+    schedule's final eps.
     """
 
     eps: float
@@ -81,29 +80,16 @@ class StageRecord:
     lambda_eps: float
     energy: float
     converged: bool
-    newton_steps: int = None
-    residual_l1: float = None
-
-    def to_dict(self):
-        data = {
-            "eps": self.eps,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "lambda_eps": self.lambda_eps,
-            "energy": self.energy,
-            "converged": self.converged,
-        }
-        if self.newton_steps is not None:
-            data.update(newton_steps=self.newton_steps,
-                        residual_l1=self.residual_l1)
-        return data
 
 
 @dataclass
 class SolveReport:
+    """A solve's report; ``newton_steps`` is None unless the finish succeeded."""
+
     p: float
     stages: list = field(default_factory=list)
     newton_attempts: int = 0
+    newton_steps: int = None
     lambda0: float = np.nan
     lam: float = np.nan
     residual_l1: float = np.nan
@@ -111,16 +97,10 @@ class SolveReport:
     converged: bool = False
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "stages": [s.to_dict() for s in self.stages],
-            "newton_attempts": self.newton_attempts,
-            "lambda0": self.lambda0,
-            "lambda": self.lam,
-            "residual_l1": self.residual_l1,
-            "residual_linf": self.residual_linf,
-            "converged": self.converged,
-        }
+        """The report as JSON data, with ``lam`` under the key "lambda"."""
+        data = asdict(self)
+        data["lambda"] = data.pop("lam")
+        return data
 
 
 def _check_alignment(body, measure):
@@ -223,8 +203,8 @@ def newton_finish(measure, p, h):
     1e-13 max(1, max|s|), the rounding floor (at n = 2 it grows as
     N^2 eps); that stop succeeds when residual_l1 is at most FLOOR_TOL.
 
-    Returns (body, steps, residual_l1) on success and None when the Wulff
-    shape degenerates, the line search fails, FINISH_STEPS run out or the
+    Returns (body, steps) on success and None when the Wulff shape
+    degenerates, the line search fails, FINISH_STEPS run out or the
     floor is reached above FLOOR_TOL.
     """
     h = np.asarray(h, dtype=float)
@@ -248,7 +228,7 @@ def newton_finish(measure, p, h):
             sp = lp_surface_area_measure(body, p)
             l1 = float(np.abs(sp - measure.masses).sum() / total)
             if l1 <= FINISH_TOL:
-                return _checked(body, steps, l1)
+                return _checked(body, steps)
             if steps == FINISH_STEPS:
                 return None
             # J in place on facet_jacobian's canonical CSR, which stores
@@ -265,7 +245,7 @@ def newton_finish(measure, p, h):
                     <= 1e-13 * max(1.0, float(np.max(np.abs(s))))):
                 # the correction is lost in the rounding of s, so no step
                 # lowers l1 further
-                return _checked(body, steps, l1) if l1 <= FLOOR_TOL else None
+                return _checked(body, steps) if l1 <= FLOOR_TOL else None
             merits = weights @ F ** 2
             t = min(1.0, 2.0 * t)
             for _ in range(FINISH_HALVINGS):
@@ -280,13 +260,13 @@ def newton_finish(measure, p, h):
             body, F = trial
 
 
-def _checked(body, steps, l1):
+def _checked(body, steps):
     """newton_finish's result, or None when the body fails its invariants."""
     try:
         body._check_invariants()
     except GeometryError:
         return None
-    return body, steps, l1
+    return body, steps
 
 
 class _Finisher:
@@ -294,9 +274,9 @@ class _Finisher:
 
     Calling it with a volume-one iterate, its optimal center and its
     multiplier starts Newton at the multiplier-rescaled body centered
-    there; the first success, newton_finish's (body, steps, residual_l1),
-    is kept in ``result``, which ends the solve. Past FINISH_ATTEMPTS
-    attempts only a stage's last iterate is tried.
+    there; the first success, newton_finish's (body, steps), is kept in
+    ``result``, which ends the solve. Past FINISH_ATTEMPTS attempts only
+    a stage's last iterate is tried.
     """
 
     def __init__(self, measure, p):
@@ -439,7 +419,8 @@ def solve(measure, p, opts=None):
     iterate rescaled this way about its optimal center: at most
     FINISH_ATTEMPTS times before a stage's end, and at the end of every
     stage. The first success ends the continuation: M is the finished
-    body, the report's last stage is the finish's record and the solve
+    body, the report's last stage is the finish's record, the report's
+    ``newton_steps`` counts the finish's Newton steps and the solve
     counts as converged. Only that success does: the attempts leave the
     descent alone, so when all of them fail the result is the descent's,
     bit for bit, and the report says it did not converge, however
@@ -488,12 +469,12 @@ def solve(measure, p, opts=None):
         h = body.support_values.copy()
 
     if finisher.result is not None:
-        M = finisher.result[0]
+        M, report.newton_steps = finisher.result
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
         eps_scheduled = EPS0 * 2.0 ** (-(opts.stages - 1))
-        report.stages.append(_finish_record(finisher, M.scaled(1.0 / lam),
-                                            sub, p, eps_scheduled))
+        report.stages.append(_finish_record(M.scaled(1.0 / lam), sub, p,
+                                            eps_scheduled))
     else:
         # the limit identity holds for the body recentered at its optimal
         # center
@@ -513,7 +494,7 @@ def solve(measure, p, opts=None):
     return M, report
 
 
-def _finish_record(finisher, body, measure, p, eps):
+def _finish_record(body, measure, p, eps):
     """StageRecord of a successful finish; ``body`` is its volume-one body.
 
     The Euler-Lagrange data are recomputed at the optimal center for the
@@ -533,8 +514,7 @@ def _finish_record(finisher, body, measure, p, eps):
     except (CenterError, SolverError):
         residual = lambda_eps = energy = None
     return StageRecord(eps, 0, residual, lambda_eps, energy,
-                       residual is not None and residual <= EL_TOL,
-                       *finisher.result[1:])
+                       residual is not None and residual <= EL_TOL)
 
 
 def verify(M, measure, p):

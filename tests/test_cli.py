@@ -472,7 +472,7 @@ def test_solve_dipole_on_a_fine_grid_converges(tmp_path, resolution, l1):
     assert report["converged"] is True
     assert report["residual_l1"] <= l1
     assert report["newton_attempts"] >= 1
-    assert report["stages"][-1]["newton_steps"] >= 1
+    assert report["newton_steps"] >= 1
 
 
 def test_reports_are_byte_reproducible(tmp_path):
@@ -545,6 +545,10 @@ def test_verify_command(tmp_path):
     ("verify", {"n": 2, "p": 0.5, "body_file": "nan-offset.json"}),
     ("verify", {"n": 2, "p": 0.5, "body_file": "infinite-offset.json"}),
     ("verify", {"n": 2, "p": 0.5, "body_file": "nan-normal.json"}),
+    ("check", {"n": 2, "measure": {"file": "five.json"}}),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"file": "null.json"}}),
+    ("check", {"n": 2, "measure": {"file": "string.json"}}),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"file": "self.json"}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):
@@ -564,6 +568,10 @@ def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypat
             ("nan-normal", [[float("nan"), 0.0]] + square[1:], [1.0] * 4)]:
         Path(name + ".json").write_text(json.dumps({"normals": normals,
                                                     "offsets": offsets}))
+    # measure files that hold no JSON object, or name a file themselves
+    for name, data in [("five", 5), ("null", None), ("string", "atoms"),
+                       ("self", {"file": "self.json"})]:
+        Path(name + ".json").write_text(json.dumps(data))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": {"density": "const"}, **cfg}))
     assert run_cli(command.split() + ["--config", str(cfg_path),
