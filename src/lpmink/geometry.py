@@ -8,6 +8,10 @@ body: each dual facet is a vertex, each dual hull vertex is an active
 constraint (a facet), and neighbouring dual facets span the edges. Facet
 areas, volume, centroid and the ridges where two facets meet are read off
 this structure; active constraints keep their offsets as support values.
+
+A polygon whose every constraint is active needs no hull: sorted by
+angle, consecutive lines meet in its vertices (polygon_all_active). The
+Newton finish, whose states are such bodies, builds its polygons that way.
 """
 
 import numpy as np
@@ -53,14 +57,14 @@ def chebyshev_center(normals, offsets):
     return center, float(radius)
 
 
-def _polygon_from_dual(normals, shifted, dual_hull):
+def _polygon(normals, shifted, a):
     """Vertices, edge lengths, area, centroid and ridges of a polygon.
 
-    The dual hull's vertices are the active lines in counter-clockwise
-    order; each consecutive pair meets in a vertex, a ridge of measure 1.
-    Coordinates are relative to the interior point the dual was taken about.
+    ``a`` holds the active lines in counter-clockwise order; each cyclically
+    consecutive pair meets in a vertex, a ridge of measure 1. Coordinates
+    are relative to the interior point the offsets ``shifted`` are taken
+    about.
     """
-    a = dual_hull.vertices
     b = np.roll(a, -1)
     ua, ub, sa, sb = normals[a], normals[b], shifted[a], shifted[b]
     det = ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0]
@@ -76,6 +80,14 @@ def _polygon_from_dual(normals, shifted, dual_hull):
     facet_areas = np.zeros(len(normals))
     facet_areas[a] = np.hypot(*(vertices - prev).T)
     return vertices, facet_areas, area, centroid, (np.column_stack([a, b]), None)
+
+
+def _shifted_about_hint(normals, offsets, center):
+    """offsets - <u_i, center>; WulffError unless each is above 1e-6 max(1, max|h|)."""
+    shifted = offsets - normals @ center
+    if not float(np.min(shifted)) > 1e-6 * max(1.0, float(np.max(np.abs(offsets)))):
+        raise WulffError("interior hint is not inside the halfspaces")
+    return shifted
 
 
 def _facet_sums(facet, values, m):
@@ -141,7 +153,7 @@ class Body:
         The pairs (i, j) of facets that meet in a ridge, a (dim-2)-face,
         and for dim = 3 the indices into ``vertices`` of each ridge's two
         ends (a polygon's ridge is one vertex); None when the body was not
-        built by wulff_shape.
+        built by wulff_shape or polygon_all_active.
     """
 
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
@@ -275,12 +287,10 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
 
     if interior_hint is None:
         center, _ = chebyshev_center(normals, offsets)
+        shifted = offsets - normals @ center  # all > 0: the center is interior
     else:
         center = np.asarray(interior_hint, dtype=float)
-        gap = float(np.min(offsets - normals @ center))
-        if not gap > 1e-6 * max(1.0, float(np.max(np.abs(offsets)))):
-            raise WulffError("interior hint is not inside the halfspaces")
-    shifted = offsets - normals @ center  # all > 0: the center is interior
+        shifted = _shifted_about_hint(normals, offsets, center)
     try:
         dual_hull = ConvexHull(normals / shifted[:, None])
     except QhullError as exc:
@@ -291,8 +301,8 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
     if dim == 2:
-        vertices, facet_areas, volume, centroid, ridges = _polygon_from_dual(
-            normals, shifted, dual_hull)
+        vertices, facet_areas, volume, centroid, ridges = _polygon(
+            normals, shifted, dual_hull.vertices)
     else:
         vertices, facet_areas, volume, centroid, ridges = _polytope_from_dual(
             shifted, dual_hull)
@@ -310,6 +320,45 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
                 validate=validate, ridges=ridges)
 
 
+def polygon_all_active(normals, offsets, interior_hint):
+    """The polygon {<x, u_i> <= h_i} in closed form when every line is active.
+
+    Sorted by angle, consecutive lines meet in the vertices and bound the
+    edges, so no hull has to find the active lines: the result is
+    wulff_shape's body whenever every facet is active, with support values
+    equal to the offsets and ridges between lines adjacent in angle. Such
+    a polygon satisfies Body's invariants by construction, so they are not
+    checked. The normals must be distinct unit vectors of the plane.
+    WulffError is raised when an offset is non-finite, when
+    ``interior_hint`` is not inside every halfspace by at least
+    1e-6 max(1, max|h|), as in wulff_shape, when two normals adjacent in
+    angle are not apart by an angle in (0, pi), or when some edge has a
+    nonpositive signed length along its line, which is where a
+    constraint is inactive.
+    """
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    if not np.all(np.isfinite(offsets)):
+        raise WulffError("offsets must be finite")
+    center = np.asarray(interior_hint, dtype=float)
+    shifted = _shifted_about_hint(normals, offsets, center)
+    angles = np.arctan2(normals[:, 1], normals[:, 0])
+    a = np.argsort(angles)
+    gaps = np.diff(angles[a], append=angles[a[0]] + 2.0 * np.pi)
+    if not np.all((gaps > 0) & (gaps < np.pi)):
+        raise WulffError("normals adjacent in angle must be apart by less "
+                         "than pi and more than 0")
+    vertices, facet_areas, area, centroid, ridges = _polygon(normals, shifted, a)
+    # the edge on line a[j], from vertex j-1 to vertex j, along the tangent
+    # (-u_2, u_1) of a counter-clockwise walk
+    edges = vertices - np.roll(vertices, 1, axis=0)
+    if np.any(edges[:, 1] * normals[a, 0] - edges[:, 0] * normals[a, 1] <= 0):
+        raise WulffError("a constraint is inactive (nonpositive edge)")
+    return Body(2, normals, offsets.copy(), vertices + center, facet_areas,
+                float(area), centroid + center, offsets.copy(),
+                validate=False, ridges=ridges)
+
+
 def facet_jacobian(body):
     """Sparse (m, m) matrix of the facet-area derivatives dS_i/dh_j.
 
@@ -321,10 +370,12 @@ def facet_jacobian(body):
         dS_i/dh_i = -sum_j l_ij cot(theta_ij),
 
     with theta_ij the angle between the normals; facets that share no
-    ridge do not interact. Read off the ridges wulff_shape recorded.
+    ridge do not interact. Read off the ridges wulff_shape or
+    polygon_all_active recorded.
     """
     if body.ridges is None:
-        raise GeometryError("facet_jacobian needs a body built by wulff_shape")
+        raise GeometryError("facet_jacobian needs a body built by wulff_shape "
+                            "or polygon_all_active")
     pairs, ends = body.ridges
     i, j = pairs.T
     ui, uj = body.normals[i], body.normals[j]

@@ -50,8 +50,10 @@ class SphericalMeasure:
             raise MeasureError("masses must align with grid nodes")
         if not np.all(np.isfinite(masses) & (masses >= 0)):
             raise MeasureError("atom masses must be finite and nonnegative")
-        if masses.sum() <= 0:
-            raise MeasureError("measure must have positive total mass")
+        with np.errstate(over="ignore"):
+            total = masses.sum()
+        if not 0 < total < np.inf:
+            raise MeasureError("measure must have positive, finite total mass")
         if density_bounds is not None:
             t1, t2 = density_bounds
             lo = t1 * grid.weights - 1e-9 * t2 * grid.weights

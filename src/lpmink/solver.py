@@ -20,7 +20,8 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from lpmink.energy import CenterError, build_profile, optimal_center
 from lpmink.geometry import (GeometryError, WulffError, facet_jacobian,
-                             lp_surface_area_measure, wulff_shape)
+                             lp_surface_area_measure, polygon_all_active,
+                             wulff_shape)
 from lpmink.measures import HypothesisError, positive_hull_check
 
 #: verify's residual_l1 at which the Newton finish stops and counts as
@@ -161,14 +162,19 @@ def _multiplier_scale(lambda0, p, n):
 def _finish_state(measure, p, s, hint):
     """Body and F(s) = (1-p) s + log S(e^s) - log mu at log-support s.
 
-    Returns None when wulff_shape raises, as for a non-finite h = e^s or
-    a hint outside the shape, or a facet is inactive, where log S is
-    undefined.
+    The states are the bodies whose every facet is active, where log S is
+    defined: a polygon is built in closed form by polygon_all_active, with
+    no hull, a polytope by wulff_shape. Returns None when the build raises
+    WulffError, as for a non-finite h = e^s, a hint outside the body or an
+    inactive facet of a polygon, or when a facet of a polytope is inactive.
     """
     h = np.exp(s)
+    nodes = measure.grid.nodes
     try:
-        body = wulff_shape(measure.dim, measure.grid.nodes, h, validate=False,
-                           interior_hint=hint)
+        if measure.dim == 2:
+            body = polygon_all_active(nodes, h, hint)
+        else:
+            body = wulff_shape(3, nodes, h, validate=False, interior_hint=hint)
     except WulffError:
         return None
     if not np.all(body.facet_areas > 0):
@@ -196,8 +202,8 @@ def newton_finish(measure, p, h):
     density sits at its floor, from holding every step down; accepting a
     fall in |F|^2 as well keeps the n = 2 dipole at p = 0.99 well inside
     FINISH_STEPS. A trial point is rejected when a facet is inactive or
-    its Wulff shape does not hold the current centroid, its interior hint;
-    for a measure with a group the step is orbit-averaged. Stops when
+    its body does not hold the current centroid, its interior hint; for
+    a measure with a group the step is orbit-averaged. Stops when
     verify's residual_l1 is at most FINISH_TOL, or when the mass-weighted
     correction sqrt(sum_i mu_i ds_i^2 / total) is at most
     1e-13 max(1, max|s|), the rounding floor (at n = 2 it grows as

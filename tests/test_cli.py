@@ -505,6 +505,11 @@ def test_verify_command(tmp_path):
     assert report["residual_l1"] <= 0.02
 
 
+#: finite masses whose total overflows a double
+_OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308},
+                      {"u": [0, 1], "mass": 1.0}, {"u": [0, -1], "mass": 1.0}]
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("solve", {"n": 2, "p": 0.5, "grid": {"resolution": "abc"}}),
     ("solve", {"n": "two", "p": 0.5}),
@@ -549,6 +554,8 @@ def test_verify_command(tmp_path):
     ("solve", {"n": 2, "p": 0.5, "measure": {"file": "null.json"}}),
     ("check", {"n": 2, "measure": {"file": "string.json"}}),
     ("solve", {"n": 2, "p": 0.5, "measure": {"file": "self.json"}}),
+    ("check", {"n": 2, "measure": {"atoms": _OVERFLOWING_ATOMS}}),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"atoms": _OVERFLOWING_ATOMS}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):

@@ -10,9 +10,9 @@ from scipy.spatial import ConvexHull
 from conftest import random_polygon, random_polytope
 from lpmink.geometry import (Body, GeometryError, WulffError, body_stats,
                              body_to_off, facet_jacobian,
-                             lp_surface_area_measure, santalo_quadrature,
-                             wulff_shape)
-from lpmink.sphere import unit_ball_volume
+                             lp_surface_area_measure, polygon_all_active,
+                             santalo_quadrature, wulff_shape)
+from lpmink.sphere import build_grid, unit_ball_volume
 
 SQUARE_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
 CUBE_NORMALS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -151,6 +151,73 @@ def test_wall_duplicating_a_grid_normal_owns_its_edge():
     assert B.facet_areas[8] > 0 and B.facet_areas[4] == 0.0
     assert B.support_values[8] == 0.0
     assert lp_surface_area_measure(B, 0.5)[8] == 0.0
+
+
+def _signed_edges(normals, offsets):
+    """Signed lengths of the edges that lines adjacent in angle cut out."""
+    order = np.argsort(np.arctan2(normals[:, 1], normals[:, 0]))
+    u, h = normals[order], offsets[order]
+    v, hv = np.roll(u, -1, axis=0), np.roll(h, -1)
+    det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    corners = np.column_stack([h * v[:, 1] - hv * u[:, 1],
+                               hv * u[:, 0] - h * v[:, 0]]) / det[:, None]
+    edges = corners - np.roll(corners, 1, axis=0)
+    return edges[:, 1] * u[:, 0] - edges[:, 0] * u[:, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(8, 256), seed=st.integers(0, 2 ** 32 - 1),
+       bump=st.floats(-8.0, -1.0), share=st.floats(0.0, 1.0))
+def test_polygon_all_active_matches_wulff_shape(N, seed, bump, share):
+    # circle grid nodes in random order; a share of the unit offsets is
+    # perturbed by up to 10^bump, which makes some facets inactive once it
+    # passes about (2 pi / N)^2 / 2
+    rng = np.random.default_rng(seed)
+    normals = build_grid(2, N).nodes[rng.permutation(N)]
+    offsets = 1.0 + (rng.uniform(size=N) < share) * rng.uniform(-1.0, 1.0, N) * 10.0 ** bump
+    origin = np.zeros(2)
+    body = wulff_shape(2, normals, offsets, validate=False, interior_hint=origin)
+    # near a zero signed edge Qhull's merging and the sign may differ
+    signed = _signed_edges(normals, offsets)
+    assume(np.min(np.abs(signed)) > 1e-9 * body.facet_areas.sum())
+    if not np.all(body.facet_areas > 0):
+        with pytest.raises(WulffError):
+            polygon_all_active(normals, offsets, origin)
+        return
+    poly = polygon_all_active(normals, offsets, origin)
+    assert len(poly.vertices) == len(body.vertices) == N
+    gaps = np.linalg.norm(poly.vertices[:, None] - body.vertices[None], axis=2)
+    assert np.max(np.min(gaps, axis=1)) <= 1e-12
+    assert poly.facet_areas == pytest.approx(body.facet_areas, rel=1e-12)
+    assert np.array_equal(poly.support_values, body.support_values)
+    assert poly.volume == pytest.approx(body.volume, rel=1e-12)
+    assert np.allclose(poly.centroid, body.centroid, rtol=0, atol=1e-12)
+    poly._check_invariants()
+
+
+def test_polygon_all_active_errors():
+    square = polygon_all_active(SQUARE_NORMALS[::-1], np.ones(4), [0.3, -0.2])
+    assert square.volume == pytest.approx(4.0, abs=1e-12)
+    square._check_invariants()
+    assert np.allclose(facet_jacobian(square).toarray(), facet_jacobian(
+        wulff_shape(2, SQUARE_NORMALS[::-1], np.ones(4))).toarray())
+    for offsets, hint in [([1.0, np.nan, 1.0, 1.0], [0.0, 0.0]),
+                          ([1.0, np.inf, 1.0, 1.0], [0.0, 0.0]),
+                          ([1.0, 1.0, 1.0, 1.0], [1.0 - 5e-7, 0.0]),
+                          ([1.0, 1.0, 1.0, 1.0], [2.0, 0.0])]:
+        with pytest.raises(WulffError):
+            polygon_all_active(SQUARE_NORMALS, np.array(offsets), hint)
+    # a gap of pi leaves the polygon unbounded; a repeated normal a gap of 0
+    for normals in (SQUARE_NORMALS[:3], SQUARE_NORMALS[[0, 1, 1, 2, 3]]):
+        with pytest.raises(WulffError):
+            polygon_all_active(normals, np.ones(len(normals)), [0.0, 0.0])
+    # the tangent line of test_square_with_tangent_constraint is inactive
+    normals = np.vstack([SQUARE_NORMALS, [[1 / np.sqrt(2), 1 / np.sqrt(2)]]])
+    for cut in (np.sqrt(2), 1.5):
+        with pytest.raises(WulffError):
+            polygon_all_active(normals, np.array([1, 1, 1, 1, cut]), [0.0, 0.0])
+    body = polygon_all_active(normals, np.array([1, 1, 1, 1, 1.2]), [0.0, 0.0])
+    assert body.facet_areas[4] == pytest.approx(2 * np.sqrt(2) - 2.4, abs=1e-12)
 
 
 def test_circumscribed_polytope_matches_ball(grid3):

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from conftest import dihedral_group, random_polygon
 from lpmink.energy import build_profile, energy, optimal_center
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
+from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete)
 from lpmink import cli, geometry, solver
 from lpmink.solver import (FINISH_TOL, SolveOptions, SolverError, el_residual,
-                           evaluate_offsets, minimize_fixed_eps, solve, verify)
+                           evaluate_offsets, minimize_fixed_eps, newton_finish,
+                           solve, verify)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area, unit_ball_volume
 
 
@@ -553,3 +555,45 @@ def test_an_interior_hint_is_a_contract(grid2, monkeypatch):
     for mu in mus:
         M, report = solve(mu, -1.0)
         assert report.converged and report.residual_l1 <= 1e-9
+
+
+def test_newton_finish_builds_no_hull_in_the_plane(grid2, monkeypatch):
+    # every finish state is a polygon with all facets active, built in
+    # closed form; from the unit circle's circumscribed polygon Newton
+    # reaches the dipole's solution without Qhull
+    def refuse(*args, **kwargs):
+        raise AssertionError("the finish built a hull")
+
+    mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
+    monkeypatch.setattr(geometry, "ConvexHull", refuse)
+    body, steps = newton_finish(mu, -1.0, np.ones(len(grid2)))
+    assert 1 <= steps <= 10
+    assert verify(body, mu, -1.0)[0] <= FINISH_TOL
+
+
+#: the ellipse and ellipsoid of the ladder, their off-centre centres, the
+#: N ladder (doubling), and the pinned bounds on the error ratio per
+#: doubling and on the finest error (observed 4.00-4.04 and 4.7e-5 at
+#: n = 2, 1.93-2.03 and 2.9e-3 at n = 3)
+_LADDERS = {2: ((1.3, 0.8), (0.1, -0.05), (64, 128, 256, 512), 3.5, 5e-5),
+            3: ((1.2, 0.9, 0.8), (0.1, -0.05, 0.05), (250, 500, 1000), 1.8, 3e-3)}
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+@pytest.mark.parametrize("off_centre", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_discretization_error_is_second_order(n, off_centre, p):
+    # the Lp density f_p of an ellipsoid K is a manufactured solution: the
+    # solve of its sampled measure approaches h_K at the nodes, with error
+    # O(N^-2) on the circle and O(N^-1) = O(spacing^2) on the sphere
+    semiaxes, centre, ladder, min_ratio, finest = _LADDERS[n]
+    K = ellipsoid_model(semiaxes, center=centre if off_centre else None)
+    errors = []
+    for N in ladder:
+        grid = build_grid(n, N)
+        M, report = solve(density_measure(lambda U: K.f_p(U, p), grid), p)
+        assert report.converged
+        errors.append(np.max(np.abs(M.support_values - K.h(grid.nodes))))
+    errors = np.array(errors)
+    assert np.all(errors[:-1] / errors[1:] >= min_ratio), errors
+    assert errors[-1] <= finest
