@@ -26,7 +26,7 @@ def quarter_arc(U):
 
 mu = density_measure(quarter_arc, grid)
 print("arc measure: total %.4f on %d atoms"
-      % (mu.total_mass, len(mu.on_support()[1])))
+      % (mu.total_mass, np.count_nonzero(mu.masses)))
 
 mu0, simplex, A, cone = symmetrize_hemisphere(mu)
 print("simplex directions:\n%s" % np.round(simplex, 6))

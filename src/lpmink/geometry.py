@@ -21,6 +21,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 from lpmink.sphere import unit_ball_volume
 
+#: vertices that Body's centroid-reflection check samples, and its tolerance
+_REFLECTION_SAMPLES = 64
+_REFLECTION_TOL = 1e-9
 
 class GeometryError(ValueError):
     """Invalid body data or violated geometric invariant."""
@@ -185,16 +188,16 @@ class Body:
             raise GeometryError("volume identity V = (1/n) sum h S violated")
         self._check_centroid_reflection()
 
-    def _check_centroid_reflection(self, samples=64, tol=1e-9):
+    def _check_centroid_reflection(self):
         # x in K implies (-1/n)(x - centroid) + centroid in K
         pts = self.vertices
-        if len(pts) > samples:
-            idx = np.linspace(0, len(pts) - 1, samples).astype(int)
+        if len(pts) > _REFLECTION_SAMPLES:
+            idx = np.linspace(0, len(pts) - 1, _REFLECTION_SAMPLES).astype(int)
             pts = pts[idx]
         reflected = (-1.0 / self.dim) * (pts - self.centroid) + self.centroid
         slack = self.support_values[None, :] - reflected @ self.normals.T
         scale = max(1.0, float(np.max(np.abs(self.support_values))))
-        if slack.min() < -tol * scale:
+        if slack.min() < -_REFLECTION_TOL * scale:
             raise GeometryError("centroid reflection point escapes the body")
 
     def support(self, u):

@@ -8,13 +8,13 @@ data, and the hypothesis checkers (subspace concentration, positive hull).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from lpmink.sphere import (DirectionGrid, GridError, node_permutations,
-                           sphere_area, validate_group)
+from lpmink.sphere import DirectionGrid, GridError, sphere_area, validate_group
 
 
 class MeasureError(ValueError):
@@ -36,12 +36,12 @@ class SphericalMeasure:
     density_bounds : (float, float) or None
         (tau1, tau2) when the measure samples a density f with
         tau1 <= f <= tau2 on the nodes.
-    group : list of ndarray or None
+    group : ndarray, shape (k, n, n), or None
         Finite orthogonal invariance group; the solver descends on the
         subspace of offsets invariant under it.
-    permutations : list of ndarray or None
-        For each group element A, the index array ``pi`` with
-        ``nodes[pi[i]] == A @ nodes[i]`` up to matching tolerance.
+    permutations : ndarray, shape (k, N), or None
+        Row g is the index array ``pi`` with ``nodes[pi[i]] == group[g] @
+        nodes[i]`` up to matching tolerance.
     """
 
     def __init__(self, grid, masses, density_bounds=None, group=None):
@@ -68,13 +68,12 @@ class SphericalMeasure:
         if group is not None:
             try:
                 self.group = validate_group(group, grid.dim)
-                self.permutations = node_permutations(grid.nodes, self.group)
+                self.permutations = grid.node_permutations(self.group)
             except GridError as exc:
                 raise MeasureError("invalid invariance group: %s" % exc) from exc
             scale = max(masses.max(), 1e-300)
-            for pi in self.permutations:
-                if np.max(np.abs(masses[pi] - masses)) > 1e-8 * scale:
-                    raise MeasureError("masses are not invariant under the group")
+            if np.max(np.abs(masses[self.permutations] - masses)) > 1e-8 * scale:
+                raise MeasureError("masses are not invariant under the group")
 
     def orbit_average(self, values):
         """Average a per-node vector over the orbits of the measure's group.
@@ -117,12 +116,12 @@ class SphericalMeasure:
         return SphericalMeasure(grid, self.masses[support], group=self.group), support
 
     def to_dict(self):
-        sub, _ = self.on_support()
+        support = self.masses > 0
         return {
             "dim": self.dim,
             "atoms": [
                 {"u": u.tolist(), "mass": float(m)}
-                for u, m in zip(sub.grid.nodes, sub.masses)
+                for u, m in zip(self.grid.nodes[support], self.masses[support])
             ],
             "density_bounds": list(self.density_bounds) if self.density_bounds else None,
         }
@@ -161,10 +160,7 @@ def truncate_density(f, m):
 
 def _orbit_angles(points_a, points_b, mats):
     """Pairwise geodesic distances min over group elements of angle(A a, b)."""
-    best = None
-    for A in mats:
-        dots = (points_a @ np.asarray(A, dtype=float).T) @ points_b.T
-        best = dots if best is None else np.maximum(best, dots)
+    best = reduce(np.maximum, ((points_a @ A.T) @ points_b.T for A in mats))
     return np.arccos(np.clip(best, -1.0, 1.0))
 
 
@@ -187,13 +183,8 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
     norms = np.linalg.norm(directions, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise MeasureError("raw atom directions must be unit vectors")
-    mats = [np.eye(grid.dim)]
-    if group is not None:
-        mats = validate_group(group, grid.dim)
-        try:
-            node_permutations(grid.nodes, mats)
-        except GridError as exc:
-            raise MeasureError("grid is not closed under the smoothing group") from exc
+    # the returned measure checks that the grid is closed under the group
+    mats = np.eye(grid.dim)[None] if group is None else validate_group(group, grid.dim)
 
     nodes = grid.nodes
     # greedy farthest-point net on the nodes in orbit distance
@@ -227,17 +218,17 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
         group=group)
 
 
-def _distinct_atoms(measure, tol=1e-10):
+def _distinct_atoms(measure):
     """Merge coincident support directions, returning (dirs, masses).
 
     Scanning the support in index order, a direction joins the
-    lowest-index representative within ``tol`` of it, or else becomes a
-    representative; representatives keep their order and collect their
-    members' masses in index order.
+    lowest-index representative within _ATOM_MERGE_TOL of it, or else
+    becomes a representative; representatives keep their order and
+    collect their members' masses in index order.
     """
-    sub, _ = measure.on_support()
-    dirs, masses = sub.grid.nodes, sub.masses
-    pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")
+    support = measure.masses > 0
+    dirs, masses = measure.grid.nodes[support], measure.masses[support]
+    pairs = cKDTree(dirs).query_pairs(_ATOM_MERGE_TOL, output_type="ndarray")
     if len(pairs) == 0:
         return dirs, masses
     rep = np.arange(len(dirs))
@@ -250,10 +241,10 @@ def _distinct_atoms(measure, tol=1e-10):
     return dirs[keep], np.bincount(slot[rep], weights=masses)
 
 
-def _linear_span(dirs, tol=1e-9):
+def _linear_span(dirs):
     """Orthonormal basis of the linear span of the directions."""
     _, s, vt = np.linalg.svd(dirs, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > _SPAN_RANK_TOL * s[0]))
     return vt[:rank].T  # (n, rank)
 
 
@@ -339,6 +330,10 @@ class SubspaceConcentrationReport:
 
 #: subspace_concentration_check's tolerance on atom distances and ratios
 SUBSPACE_TOL = 1e-9
+#: chord distance within which _distinct_atoms merges support directions
+_ATOM_MERGE_TOL = 1e-10
+#: _linear_span's rank cut, relative to the largest singular value
+_SPAN_RANK_TOL = 1e-9
 #: entries in one (block rows x atoms) array of the subspace candidate scan
 _SCAN_BLOCK = 1 << 13
 
@@ -610,12 +605,12 @@ def symmetrize_hemisphere(measure):
 
     # mu0(u) = sum_i mu(A^i u), read through the node permutations of the
     # group {A^i}
-    group = [np.linalg.matrix_power(A, i) for i in range(d + 1)]
+    group = np.array([np.linalg.matrix_power(A, i) for i in range(d + 1)])
     try:
-        perms = node_permutations(measure.grid.nodes, group)
+        perms = measure.grid.node_permutations(group)
     except GridError as exc:
         raise MeasureError("%s; use a grid closed under the simplex rotation"
                            % exc) from exc
-    mu0 = SphericalMeasure(measure.grid, sum(measure.masses[pi] for pi in perms),
+    mu0 = SphericalMeasure(measure.grid, measure.masses[perms].sum(axis=0),
                            group=group)
     return mu0, simplex, A, np.array(cone_normals)

@@ -17,9 +17,11 @@ DEFAULT_RESOLUTION = {2: 256, 3: 500}
 
 #: angular tolerance for merging duplicate nodes during orbit closure
 ORBIT_MERGE_TOL = 1e-9
-#: entrywise tolerance of validate_group's orthogonality and closure tests
+#: entrywise tolerance of validate_group's orthogonality, distinctness and
+#: closure tests
 GROUP_TOL = 1e-7
-#: distance within which node_permutations matches an image to a node
+#: chord distance within which DirectionGrid.node_permutations matches a
+#: group image to a node
 NODE_MATCH_TOL = 1e-8
 
 
@@ -87,6 +89,21 @@ class DirectionGrid:
         cosines = self.nodes @ (v / np.linalg.norm(v))
         return float(self.weights[cosines >= np.cos(alpha)].sum())
 
+    def node_permutations(self, mats):
+        """The (k, N) table of node permutations a (k, n, n) group induces.
+
+        Row g is ``pi`` with ``nodes[pi[i]] == mats[g] @ nodes[i]`` within
+        NODE_MATCH_TOL, matched through the grid's own tree. Raises GridError
+        when an image misses the node set or an element does not permute it.
+        """
+        d, idx = self._tree.query(self.nodes @ np.swapaxes(mats, 1, 2))
+        if d.max() > NODE_MATCH_TOL:
+            raise GridError("node set is not closed under the group: an "
+                            "image misses it by %.2e" % d.max())
+        if np.any(np.sort(idx, axis=1) != np.arange(len(self))):
+            raise GridError("group element does not permute the node set")
+        return idx
+
     def min_node_angle(self):
         """Smallest pairwise angular distance between nodes."""
         d, _ = self._tree.query(self.nodes, k=2)
@@ -116,27 +133,28 @@ def _fibonacci_grid(resolution):
 def validate_group(group, dim):
     """Check that ``group`` is a finite orthogonal group given numerically.
 
-    Requires every matrix to be orthogonal (a non-finite entry fails),
-    the set to be closed under composition and to contain the identity,
-    each entrywise within GROUP_TOL; returns the matrices as float arrays.
+    Requires every matrix to be orthogonal (a non-finite entry fails), no
+    two to coincide, the set to be closed under composition and to contain
+    the identity, each entrywise within GROUP_TOL. Returns the matrices as
+    one (k, n, n) float array.
     """
     try:
-        mats = [np.asarray(A, dtype=float) for A in group]
+        mats = np.array(group, dtype=float)
     except (TypeError, ValueError) as exc:
         raise GridError("a symmetry group is a list of matrices") from exc
-    if not mats:
-        raise GridError("symmetry group is empty")
-    for A in mats:
-        if A.shape != (dim, dim):
-            raise GridError("group matrix has wrong shape")
-        if not np.max(np.abs(A.T @ A - np.eye(dim))) <= GROUP_TOL:
-            raise GridError("group matrix is not orthogonal")
-    for A in mats:
-        for B in mats:
-            C = A @ B
-            if min(np.max(np.abs(C - M)) for M in mats) > GROUP_TOL:
-                raise GridError("group is not closed under composition")
-    if min(np.max(np.abs(M - np.eye(dim))) for M in mats) > GROUP_TOL:
+    if mats.shape[1:] != (dim, dim) or not mats.size:
+        raise GridError("a symmetry group is a nonempty list of %d x %d matrices"
+                        % (dim, dim))
+    if not np.all(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(dim)) <= GROUP_TOL):
+        raise GridError("group matrix is not orthogonal")
+    # entrywise distance is the Chebyshev metric on the flattened matrices
+    tree = cKDTree(mats.reshape(len(mats), -1))
+    if tree.query_pairs(GROUP_TOL, p=np.inf):
+        raise GridError("group lists an element twice")
+    products = (mats[:, None] @ mats[None, :]).reshape(-1, dim * dim)
+    if tree.query(products, p=np.inf)[0].max() > GROUP_TOL:
+        raise GridError("group is not closed under composition")
+    if tree.query(np.eye(dim).ravel(), p=np.inf)[0] > GROUP_TOL:
         raise GridError("group does not contain the identity")
     return mats
 
@@ -148,47 +166,16 @@ def _orbit_closure(nodes, mats):
     (cosine comparisons are useless there: cos(1e-9) rounds to 1.0).
     """
     kept = np.asarray(nodes, dtype=float)
-    changed = True
-    while changed:
-        changed = False
-        tree = cKDTree(kept)
-        fresh = []
-        for A in mats:
-            images = kept @ A.T
-            d, _ = tree.query(images)
-            fresh.append(images[d > ORBIT_MERGE_TOL])
-        fresh = np.vstack(fresh)
-        if len(fresh):
-            # dedup the new points among themselves, keeping first occurrences
-            ftree = cKDTree(fresh)
-            keep = np.ones(len(fresh), dtype=bool)
-            for i, j in ftree.query_pairs(r=ORBIT_MERGE_TOL):
-                keep[max(i, j)] = False
-            kept = np.vstack([kept, fresh[keep]])
-            changed = True
-    return kept
-
-
-def node_permutations(nodes, mats):
-    """Index permutations of a node set induced by the group ``mats``.
-
-    For each group element A returns the index array ``pi`` with
-    ``nodes[pi[i]] == A @ nodes[i]`` within NODE_MATCH_TOL. Raises
-    GridError when an image misses the node set or A does not map it onto
-    itself.
-    """
-    tree = cKDTree(nodes)
-    perms = []
-    for A in mats:
-        images = nodes @ A.T
-        d, idx = tree.query(images)
-        if d.max() > NODE_MATCH_TOL:
-            raise GridError("node set is not closed under the group: an "
-                            "image misses it by %.2e" % d.max())
-        if len(np.unique(idx)) != len(nodes):
-            raise GridError("group element does not permute the node set")
-        perms.append(idx)
-    return perms
+    while True:
+        images = np.vstack([kept @ A.T for A in mats])
+        fresh = images[cKDTree(kept).query(images)[0] > ORBIT_MERGE_TOL]
+        if not len(fresh):
+            return kept
+        # dedup the new points among themselves, keeping first occurrences
+        pairs = cKDTree(fresh).query_pairs(ORBIT_MERGE_TOL, output_type="ndarray")
+        keep = np.ones(len(fresh), dtype=bool)
+        keep[pairs.max(axis=1)] = False
+        kept = np.vstack([kept, fresh[keep]])
 
 
 def build_grid(n, resolution, symmetry=None):
@@ -201,7 +188,7 @@ def build_grid(n, resolution, symmetry=None):
     resolution : int
         Node count: equally spaced angles for n=2, a Fibonacci lattice for
         n=3. Equal weights summing to the sphere area in both cases.
-    symmetry : sequence of (n, n) orthogonal matrices, optional
+    symmetry : sequence of distinct (n, n) orthogonal matrices, optional
         Finite group; the returned node set is a union of full group orbits
         (orbit closure with duplicate merging). Invariant descent follows
         a measure's own group (``SphericalMeasure(group=)``), not the grid's.
@@ -215,9 +202,10 @@ def build_grid(n, resolution, symmetry=None):
         nodes, weights = _circle_grid(resolution)
     else:
         nodes, weights = _fibonacci_grid(resolution)
-    if symmetry is not None:
-        mats = validate_group(symmetry, n)
-        nodes = _orbit_closure(nodes, mats)
-        weights = np.full(len(nodes), sphere_area(n) / len(nodes))
-        node_permutations(nodes, mats)  # raises unless the closure holds
-    return DirectionGrid(n, nodes, weights)
+    if symmetry is None:
+        return DirectionGrid(n, nodes, weights)
+    mats = validate_group(symmetry, n)
+    nodes = _orbit_closure(nodes, mats)
+    grid = DirectionGrid(n, nodes, np.full(len(nodes), sphere_area(n) / len(nodes)))
+    grid.node_permutations(mats)  # raises unless the closure holds
+    return grid

@@ -177,6 +177,27 @@ def test_symmetrize_command(tmp_path):
     assert len(measure0["atoms"]) == 3
 
 
+def test_symmetrize_builds_only_the_problem_grid(tmp_path, monkeypatch):
+    # the toolbox benchmark's arc config: reading the support of the arc and
+    # of mu0, and writing mu0, build no sub-grid
+    built = []
+    init = sphere.DirectionGrid.__init__
+
+    def counting_init(self, *args):
+        built.append(len(args[1]))
+        init(self, *args)
+
+    monkeypatch.setattr(sphere.DirectionGrid, "__init__", counting_init)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "grid": {"resolution": 360, "symmetry": [
+            [[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]]},
+        "measure": {"density": "arc", "params": {"value": 1.3}}}))
+    assert run_cli(["symmetrize", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    assert built == [360]
+
+
 def test_symmetrize_hypothesis_failure_exits_2(tmp_path):
     cfg = {
         "n": 2, "grid": {"resolution": 64},
@@ -556,6 +577,8 @@ _OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308
     ("solve", {"n": 2, "p": 0.5, "measure": {"file": "self.json"}}),
     ("check", {"n": 2, "measure": {"atoms": _OVERFLOWING_ATOMS}}),
     ("solve", {"n": 2, "p": 0.5, "measure": {"atoms": _OVERFLOWING_ATOMS}}),
+    ("solve", {"n": 2, "p": 0.5, "grid": {"symmetry": [
+        [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[1, 0], [0, -1]]]}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):

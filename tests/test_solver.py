@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +279,42 @@ def test_solve_invariant_measure_without_grid_permutations(grid2):
     h = M.support_values
     for pi in mu.permutations:
         assert np.max(np.abs(h[pi] - h)) <= 1e-6
+
+
+def _cube_rotations():
+    """The 24 proper rotations of the cube: signed permutations with det 1."""
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            A = np.zeros((3, 3))
+            A[range(3), perm] = signs
+            if np.linalg.det(A) > 0:
+                mats.append(A)
+    return mats
+
+
+@pytest.mark.parametrize("p", [0.5, -1.0])
+def test_solve_is_rotation_equivariant_n3(p):
+    # a grid closed under the cube's rotations, and a density without
+    # symmetry against the same density rotated by R: the solutions must
+    # agree through the node permutation R induces
+    group = _cube_rotations()
+    grid = build_grid(3, 100, symmetry=group)
+    assert len(grid) == 2400
+    R = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert any(np.array_equal(R, A) for A in group)
+
+    def f(U):
+        return 1.0 + 0.3 * U[:, 0] + 0.2 * U[:, 1] * U[:, 2]
+
+    # the rotated density is f(R^T u); the rows of U @ R are R^T u
+    M, report = solve(density_measure(f, grid), p)
+    M_rot, report_rot = solve(density_measure(lambda U: f(U @ R), grid), p)
+    assert report.converged and report_rot.converged
+    pi = grid.node_permutations(R[None])[0]
+    h, h_rot = M.support_values, M_rot.support_values
+    # h_{RK}(R u) = h_K(u)
+    assert np.max(np.abs(h_rot[pi] - h)) <= 1e-9 * np.max(np.abs(h))
 
 
 def test_finish_checkpoints_leave_the_descent_unchanged(grid2):

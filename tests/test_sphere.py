@@ -76,14 +76,17 @@ def test_symmetrized_grid_n3_expands():
 
 
 def test_orbit_average_is_projection():
-    g = build_grid(2, 64, symmetry=dihedral_group())
-    mu = SphericalMeasure(g, g.weights, group=dihedral_group())
     rng = np.random.default_rng(3)
-    v = rng.normal(size=len(g))
-    av = mu.orbit_average(v)
-    assert np.allclose(mu.orbit_average(av), av, atol=1e-12)
-    for pi in mu.permutations:
-        assert np.allclose(av[pi], av, atol=1e-12)
+    for k in range(1, 7):
+        # the cyclic group C_k is the rotation half of the dihedral D_k
+        for group in (dihedral_group(k)[::2], dihedral_group(k)):
+            g = build_grid(2, 64, symmetry=group)
+            mu = SphericalMeasure(g, g.weights, group=group)
+            v = rng.normal(size=len(g))
+            av = mu.orbit_average(v)
+            assert np.allclose(mu.orbit_average(av), av, atol=1e-12)
+            for pi in mu.permutations:
+                assert np.allclose(av[pi], av, atol=1e-12)
 
 
 def test_build_grid_errors():
@@ -99,6 +102,13 @@ def test_build_grid_errors():
     c, s = np.cos(0.7), np.sin(0.7)
     with pytest.raises(GridError):
         build_grid(2, 100, symmetry=[np.eye(2), np.array([[c, -s], [s, c]])])
+    # a reflection listed twice: closed and with the identity, but no group
+    # of three elements, and its orbit average would not be a projection
+    flip = np.diag([1.0, -1.0])
+    with pytest.raises(GridError, match="twice"):
+        build_grid(2, 100, symmetry=[np.eye(2), flip, flip])
+    with pytest.raises(GridError, match="twice"):
+        build_grid(2, 100, symmetry=[np.eye(2), flip, flip + 1e-9])
 
 
 def test_grid_constructor_validation():
