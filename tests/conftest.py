@@ -66,6 +66,22 @@ def no_lp(monkeypatch):
     monkeypatch.setattr(energy, "chebyshev_center", refuse)
 
 
+@pytest.fixture
+def built_grids(monkeypatch):
+    """The node counts of every DirectionGrid built while the test runs."""
+    from lpmink.sphere import DirectionGrid
+
+    built = []
+    init = DirectionGrid.__init__
+
+    def counting_init(self, *args):
+        built.append(len(args[1]))
+        init(self, *args)
+
+    monkeypatch.setattr(DirectionGrid, "__init__", counting_init)
+    return built
+
+
 @pytest.fixture(scope="session")
 def grid2():
     from lpmink.sphere import build_grid

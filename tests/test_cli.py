@@ -177,17 +177,9 @@ def test_symmetrize_command(tmp_path):
     assert len(measure0["atoms"]) == 3
 
 
-def test_symmetrize_builds_only_the_problem_grid(tmp_path, monkeypatch):
+def test_symmetrize_builds_only_the_problem_grid(tmp_path, built_grids):
     # the toolbox benchmark's arc config: reading the support of the arc and
     # of mu0, and writing mu0, build no sub-grid
-    built = []
-    init = sphere.DirectionGrid.__init__
-
-    def counting_init(self, *args):
-        built.append(len(args[1]))
-        init(self, *args)
-
-    monkeypatch.setattr(sphere.DirectionGrid, "__init__", counting_init)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "n": 2, "grid": {"resolution": 360, "symmetry": [
@@ -195,7 +187,7 @@ def test_symmetrize_builds_only_the_problem_grid(tmp_path, monkeypatch):
         "measure": {"density": "arc", "params": {"value": 1.3}}}))
     assert run_cli(["symmetrize", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)]) == 0
-    assert built == [360]
+    assert built_grids == [360]
 
 
 def test_symmetrize_hypothesis_failure_exits_2(tmp_path):

@@ -555,22 +555,15 @@ def test_measure_group_invariance_validation():
         SphericalMeasure(g, np.ones(len(g)), group=[np.eye(2), flip, flip])
 
 
-def test_reading_a_support_builds_no_grid(monkeypatch):
+def test_reading_a_support_builds_no_grid(built_grids):
     g = build_grid(2, 360)
     masses = np.where(np.abs(g.nodes[:, 1]) < 0.45, 1.0 + g.nodes[:, 0] ** 2, 0.0)
     mu = SphericalMeasure(g, masses, group=[np.eye(2), np.diag([1.0, -1.0])])
-    built = []
-    init = DirectionGrid.__init__
-
-    def counting_init(self, *args):
-        built.append(len(args[1]))
-        init(self, *args)
-
-    monkeypatch.setattr(DirectionGrid, "__init__", counting_init)
+    built_grids.clear()
     mu.to_dict()
     positive_hull_check(mu)
     subspace_concentration_check(mu)
-    assert built == []
+    assert built_grids == []
 
 
 def test_measure_density_bounds_validation():
