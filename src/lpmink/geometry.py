@@ -16,7 +16,6 @@ Newton finish, whose states are such bodies, builds its polygons that way.
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from lpmink.sphere import unit_ball_volume
@@ -39,6 +38,8 @@ def chebyshev_center(normals, offsets):
     Returns (center, radius). Raises WulffError when the feasible set is
     empty, has empty interior, or is detectably unbounded.
     """
+    from scipy.optimize import linprog  # HiGHS loads at the first LP
+
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     m, n = normals.shape

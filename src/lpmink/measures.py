@@ -7,11 +7,10 @@ positive densities, hemisphere symmetrization with the cone restriction
 data, and the hypothesis checkers (subspace concentration, positive hull).
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from lpmink.sphere import DirectionGrid, GridError, sphere_area, validate_group
@@ -158,10 +157,72 @@ def truncate_density(f, m):
     return f_m
 
 
-def _orbit_angles(points_a, points_b, mats):
-    """Pairwise geodesic distances min over group elements of angle(A a, b)."""
-    best = reduce(np.maximum, ((points_a @ A.T) @ points_b.T for A in mats))
-    return np.arccos(np.clip(best, -1.0, 1.0))
+def _as_angles(cos):
+    """arccos of the cosines clipped to [-1, 1], in place."""
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    return np.arccos(cos, out=cos)
+
+
+def _clipped_arccos(c):
+    """arccos of one cosine clipped to [-1, 1]."""
+    return np.arccos(min(max(c, -1.0), 1.0))
+
+
+def _greedy_net(images, nodes, m):
+    """Sorted indices of a greedy 1/m-net of the nodes in orbit distance.
+
+    Starting from node 0, adds the lowest-index node farthest from the net
+    until every node lies within 1/m of it. ``images`` are the nodes'
+    group images. The net is kept as each node's largest cosine to it:
+    arccos is monotone, so the farthest node has the least cosine. Where
+    arccos is flat, a larger cosine may round to the same distance, and
+    the earlier nodes whose cosines lie near the least are compared as
+    distances.
+    """
+    g = len(images)
+    # numpy hands a one-row product to the matrix-vector kernel, which
+    # rounds differently from the matrix kernel of _nearest_center;
+    # distances equal in exact arithmetic tie on the last bit, so a lone
+    # row is doubled
+    own = np.swapaxes(images, 0, 1)
+    if g == 1:
+        own = np.concatenate([own, own], axis=1)
+    nodes_t = nodes.T
+    centers = [0]
+    best = own[0].dot(nodes_t).max(axis=0)
+    while len(centers) < len(nodes):
+        nxt = int(best.argmin())
+        low = best.item(nxt)
+        far = _clipped_arccos(low)
+        if far <= 1.0 / m:
+            break
+        if _clipped_arccos(math.nextafter(low, 2.0)) == far:
+            ties = np.flatnonzero(best[:nxt] <= low + _NET_TIE_COS)
+            same = _as_angles(best[ties]) == far
+            nxt = int(ties[same.argmax()]) if same.any() else nxt
+        centers.append(nxt)
+        cos = own[nxt].dot(nodes_t)
+        np.maximum(best, cos[0] if g == 1 else cos.max(axis=0), out=best)
+    return np.sort(centers)
+
+
+def _nearest_center(center_images, points):
+    """Each point's nearest centre in orbit distance, in blocks of points.
+
+    ``center_images`` is (|G|, k, n), the group images of the k centres.
+    The lowest index wins among equal computed distances.
+    """
+    g, k, n = center_images.shape
+    flat = center_images.reshape(g * k, n)
+    step = max(1, _CELL_BLOCK // (g * k))
+    cells = []
+    for b in range(0, len(points), step):
+        cos = points[b:b + step].dot(flat.T)
+        if g > 1:
+            cos = cos.reshape(len(cos), g, k).max(axis=1)
+        cells.append(_as_angles(cos).argmin(axis=1))
+    return np.concatenate(cells)
 
 
 def smooth_discrete(directions, masses, grid, group=None, m=8):
@@ -170,9 +231,15 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
     The sphere (in the orbit space when a group is given) is partitioned
     into Voronoi cells of a greedily constructed 1/m-net of grid nodes;
     each cell receives the constant density mu(cell)/area(cell) plus the
-    floor 1/(#cells)^2. Ties on cell boundaries go to the lowest-index
-    cell. The result is strictly positive and G-invariant when the raw
-    measure and grid are.
+    floor 1/(#cells)^2. A node or atom goes to its nearest centre; among
+    equal computed distances the lowest-index centre wins, so a node
+    equidistant in exact arithmetic goes to whichever centre its rounded
+    distances favour. With a group, each orbit takes the cell of its
+    lowest-index node, so the result is exactly G-invariant when the raw
+    measure and grid are. The result is strictly positive.
+
+    Distances are computed for one centre or one block of nodes at a
+    time, so memory is O(N |G|) for N nodes: no N x N array is built.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
@@ -183,25 +250,24 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
     norms = np.linalg.norm(directions, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise MeasureError("raw atom directions must be unit vectors")
-    # the returned measure checks that the grid is closed under the group
-    mats = np.eye(grid.dim)[None] if group is None else validate_group(group, grid.dim)
+    if group is None:
+        mats, perms = np.eye(grid.dim)[None], np.arange(len(grid))[None]
+    else:
+        mats = validate_group(group, grid.dim)
+        try:
+            perms = grid.node_permutations(mats)
+        except GridError as exc:
+            raise MeasureError("invalid invariance group: %s" % exc) from exc
 
-    nodes = grid.nodes
-    # greedy farthest-point net on the nodes in orbit distance
-    node_dist = _orbit_angles(nodes, nodes, mats)
-    centers = [0]
-    dist_to_net = node_dist[0].copy()
-    while dist_to_net.max() > 1.0 / m and len(centers) < len(nodes):
-        nxt = int(np.argmax(dist_to_net))
-        centers.append(nxt)
-        dist_to_net = np.minimum(dist_to_net, node_dist[nxt])
-    centers = np.array(sorted(centers))
-
-    # assign nodes and raw atoms to the nearest center; ties -> lowest index
-    d_nodes = node_dist[centers]  # (k, N)
-    cell_of_node = np.argmin(d_nodes, axis=0)
-    d_atoms = _orbit_angles(nodes[centers], directions, mats)
-    cell_of_atom = np.argmin(d_atoms, axis=0)
+    # the net and the cells live on the lowest-index node of each orbit
+    orbit_low = perms.min(axis=0)
+    reps = np.flatnonzero(orbit_low == np.arange(len(grid)))
+    rep_nodes = grid.nodes[reps]
+    images = rep_nodes @ np.swapaxes(mats, 1, 2)  # (|G|, R, n)
+    centers = _greedy_net(images, rep_nodes, m)
+    cells = _nearest_center(images[:, centers], rep_nodes)
+    cell_of_node = cells[np.searchsorted(reps, orbit_low)]
+    cell_of_atom = _nearest_center(images[:, centers], directions)
 
     k = len(centers)
     cell_area = np.zeros(k)
@@ -250,6 +316,8 @@ def _linear_span(dirs):
 
 def _positive_hull_lp(dirs):
     """Whether the origin is a strictly positive combination of dirs."""
+    from scipy.optimize import linprog  # HiGHS loads at the first LP
+
     k, n = dirs.shape
     # max delta s.t. sum lambda_j u_j = 0, sum lambda = 1, lambda_j >= delta;
     # with lambda_j = delta + s_j, s_j >= 0 the LP has n + 1 equality rows
@@ -336,6 +404,11 @@ _ATOM_MERGE_TOL = 1e-10
 _SPAN_RANK_TOL = 1e-9
 #: entries in one (block rows x atoms) array of the subspace candidate scan
 _SCAN_BLOCK = 1 << 13
+#: entries in one (group x centres x points) block of smooth_discrete's cells
+_CELL_BLOCK = 1 << 18
+#: bound on the gap between cosines that arccos rounds to one distance; its
+#: slope is at least 1 in magnitude, so they lie a few ulps apart
+_NET_TIE_COS = 1e-12
 
 
 def _line_distances(rows, dirs):
@@ -537,6 +610,8 @@ def symmetrize_hemisphere(measure):
         # support; the construction does not apply
         raise HypothesisError("positive hull equals the linear span (%s)"
                               % (hull_report.detail or "no hemisphere"))
+
+    from scipy.optimize import linprog  # HiGHS loads at the first LP
 
     dirs, _ = _distinct_atoms(measure)
     n = measure.dim

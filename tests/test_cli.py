@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -137,6 +140,53 @@ def test_check_default_dipole_runs_no_lp(tmp_path, no_lp):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["check", "--config", str(cfg_path),
                     "--output-dir", str(tmp_path)]) == 0
+
+
+def test_no_lp_refuses_the_lps_imported_where_they_run(no_lp):
+    from lpmink import geometry, measures
+
+    square = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
+    with pytest.raises(AssertionError, match="an LP was called"):
+        geometry.chebyshev_center(square, np.ones(4))
+    with pytest.raises(AssertionError, match="an LP was called"):
+        measures._positive_hull_lp(square)
+
+
+_LP_PROBE = """
+import json, sys
+from lpmink import cli
+loaded = ["scipy.optimize" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    loaded.append((cli.main(argv), "scipy.optimize" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_highs_loads_at_the_first_lp(tmp_path):
+    # a fresh interpreter: importing the CLI, checking the default dipole
+    # and solving the dipoles run no LP; criterion 07's symmetrize does
+    arc = {"n": 2, "grid": {"resolution": 360, "symmetry": [
+        [[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]]},
+        "measure": {"density": "arc", "params": {"value": 1.3}}}
+    runs = [("check", {"n": 2, "measure": {"density": "dipole"}}),
+            ("solve", {"n": 2, "p": -1.0,
+                       "measure": {"density": "dipole", "params": {"a": 0.4}}}),
+            ("solve", {"n": 3, "p": 0.5,
+                       "measure": {"density": "dipole", "params": {"a": 0.3}}}),
+            ("symmetrize", arc)]
+    argvs = []
+    for i, (command, cfg) in enumerate(runs):
+        path = tmp_path / ("cfg%d.json" % i)
+        path.write_text(json.dumps(cfg))
+        argvs.append([command, "--config", str(path),
+                      "--output-dir", str(tmp_path / ("out%d" % i))])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LP_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == [False, [0, False], [0, False], [0, False], [0, True]]
 
 
 def test_identity_critical_case(tmp_path):

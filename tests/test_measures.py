@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import special_ortho_group
 
+from conftest import dihedral_group
 from lpmink.measures import (HypothesisError, MeasureError, SphericalMeasure,
-                             _distinct_atoms, _linear_span, density_measure,
+                             _distinct_atoms, _greedy_net, _linear_span,
+                             _nearest_center, density_measure,
                              positive_hull_check, smooth_discrete,
                              subspace_concentration_check,
                              symmetrize_hemisphere, truncate_density)
@@ -141,6 +145,86 @@ def test_smooth_rejects_bad_input():
     with pytest.raises(MeasureError):
         smooth_discrete(np.array([[1.0, 0.0]]), np.array([1.0]), g,
                         group=group, m=8)
+
+
+@pytest.mark.parametrize("group", [dihedral_group(1), dihedral_group(4)[::2],
+                                   dihedral_group(4)], ids=["C2", "C4", "D4"])
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("m", [4, 8, 32])
+def test_smooth_with_a_group_is_exactly_invariant(group, N, m):
+    # a node equidistant from two centres in exact arithmetic used to take
+    # its cell from rounding, and its mirror image the other cell
+    g = build_grid(2, N, symmetry=group)
+    rng = np.random.default_rng(N + m)
+    dirs = rng.normal(size=(3, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    orbit = np.concatenate([dirs @ np.asarray(A).T for A in group])
+    masses = np.tile(rng.uniform(0.5, 1.5, 3), len(group))
+    mu = smooth_discrete(orbit, masses, g, group=group, m=m)
+    assert np.all(mu.masses[mu.permutations] == mu.masses)
+
+
+def test_smooth_memory_is_linear_in_the_grid():
+    # one N x N float matrix at N = 4000 is 128 MB
+    g = build_grid(3, 4000)
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        smooth_discrete(dirs, rng.uniform(0.5, 1.5, 40), g, m=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def _dense_net_and_cells(nodes, m):
+    """The greedy net and the cells from the full N x N angle matrix."""
+    # a product of one array with its own transpose goes to the symmetric
+    # kernel, which rounds differently from the one smooth_discrete uses
+    dist = np.arccos(np.clip(nodes.copy() @ nodes.T, -1.0, 1.0))
+    centers = [0]
+    to_net = dist[0].copy()
+    while to_net.max() > 1.0 / m and len(centers) < len(nodes):
+        nxt = int(np.argmax(to_net))
+        centers.append(nxt)
+        to_net = np.minimum(to_net, dist[nxt])
+    centers = np.sort(centers)
+    return centers, np.argmin(dist[centers], axis=0)
+
+
+def _net_and_cells(nodes, m):
+    centers = _greedy_net(nodes[None], nodes, m)
+    return centers, _nearest_center(nodes[centers][None], nodes)
+
+
+@pytest.mark.parametrize("n,N,m", [(2, 256, 32), (3, 500, 16), (2, 360, 8),
+                                   (2, 360, 32), (2, 1000, 32), (3, 500, 4)])
+def test_smooth_cells_match_the_dense_oracle(n, N, m):
+    # the benchmark's grids, then nets and cells that turn on distances
+    # equal in exact arithmetic or on cosines that arccos rounds to one
+    # distance; on the 256-node circle the odd nodes tie between two even
+    # centres, and the last bit decides
+    nodes = build_grid(n, N).nodes
+    centers, cells = _net_and_cells(nodes, m)
+    expected_centers, expected_cells = _dense_net_and_cells(nodes, m)
+    assert np.array_equal(centers, expected_centers)
+    assert np.array_equal(cells, expected_cells)
+
+
+@pytest.mark.parametrize("n,N", [(2, 64), (2, 360), (3, 100), (3, 500)])
+@pytest.mark.parametrize("m", [4, 8, 16, 32])
+def test_smooth_net_and_cells_properties(n, N, m):
+    nodes = build_grid(n, N).nodes
+    centers, cells = _net_and_cells(nodes, m)
+    to_centers = np.arccos(np.clip(nodes @ nodes[centers].T, -1.0, 1.0))
+    apart = to_centers[centers]
+    np.fill_diagonal(apart, np.inf)
+    assert apart.min() > 1.0 / m
+    own = to_centers[np.arange(N), cells]
+    assert own.max() <= 1.0 / m
+    assert np.all(own <= to_centers.min(axis=1) + 1e-12)
 
 
 def test_symmetrize_single_atom_simplex():
