@@ -93,6 +93,11 @@ def _feasible_two_piece(a, b, va, vb, ma, mb):
     return a + h, 0.5 * (v_lo + v_hi), mc
 
 
+#: the pieces above 3*eps and on the bridge, by derivative order
+_RAW = (_phi_raw, _dphi_raw, _d2phi_raw)
+_BRIDGE = (_Cubic.val, _Cubic.der, _Cubic.der2)
+
+
 class EnergyProfile:
     """The triple (phi_eps, phi_eps', phi_eps'') for given p, n, eps.
 
@@ -111,47 +116,65 @@ class EnergyProfile:
     def is_unmodified(self):
         return not self.pieces
 
-    def _piecewise(self, t, low_fn, high_fn, bridge_fn):
+    def _low(self, order, s):
+        """The order-th derivative of -s^(-q), the piece below eps."""
+        q = self.q
+        if order == 0:
+            return -(s ** (-q))
+        if order == 1:
+            return q * s ** (-q - 1.0)
+        return -q * (q + 1.0) * s ** (-q - 2.0)
+
+    def _piecewise(self, t, orders):
+        """phi_eps^(k)(t) for each k in ``orders``, from one set of piece masks."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if np.any(t <= 0):
             raise ValueError("phi_eps is defined on t > 0 only")
-        out = np.empty_like(t)
+        outs = [np.empty_like(t) for _ in orders]
         if self.is_unmodified:
-            out[:] = low_fn(t)
+            for out, k in zip(outs, orders):
+                out[:] = self._low(k, t)
         else:
             lo = t <= self.eps
             hi = t >= 3.0 * self.eps
-            out[lo] = low_fn(t[lo])
-            out[hi] = high_fn(t[hi])
             mid = ~(lo | hi)
+            t_lo, t_hi = t[lo], t[hi]
+            for out, k in zip(outs, orders):
+                out[lo] = self._low(k, t_lo)
+                out[hi] = _RAW[k](self.p, t_hi)
             if np.any(mid):
                 tm = t[mid]
-                res = np.empty_like(tm)
-                for cub in self.pieces:
-                    sel = (tm >= cub.t0) & (tm <= cub.t1)
-                    res[sel] = bridge_fn(cub, tm[sel])
-                out[mid] = res
-        return float(out[0]) if scalar else out
+                sels = [(cub, (tm >= cub.t0) & (tm <= cub.t1))
+                        for cub in self.pieces]
+                for out, k in zip(outs, orders):
+                    res = np.empty_like(tm)
+                    for cub, sel in sels:
+                        res[sel] = _BRIDGE[k](cub, tm[sel])
+                    out[mid] = res
+        if scalar:
+            return tuple(float(out[0]) for out in outs)
+        return tuple(outs)
 
     def phi(self, t):
         """phi_eps(t)."""
-        return self._piecewise(
-            t, lambda s: -(s ** (-self.q)), lambda s: _phi_raw(self.p, s),
-            _Cubic.val)
+        return self._piecewise(t, (0,))[0]
 
     def dphi(self, t):
         """phi_eps'(t); positive everywhere."""
-        return self._piecewise(
-            t, lambda s: self.q * s ** (-self.q - 1.0),
-            lambda s: _dphi_raw(self.p, s), _Cubic.der)
+        return self._piecewise(t, (1,))[0]
 
     def d2phi(self, t):
         """phi_eps''(t); negative everywhere, may jump at bridge knots."""
-        return self._piecewise(
-            t, lambda s: -self.q * (self.q + 1.0) * s ** (-self.q - 2.0),
-            lambda s: _d2phi_raw(self.p, s), _Cubic.der2)
+        return self._piecewise(t, (2,))[0]
+
+    def jet(self, t):
+        """(phi_eps(t), phi_eps'(t), phi_eps''(t)) from one pass over t.
+
+        Each value equals phi, dphi and d2phi at t bit for bit.
+        """
+        return self._piecewise(t, (0, 1, 2))
 
 
 def _validate_profile(profile):
@@ -180,6 +203,11 @@ def _validate_profile(profile):
         raise ProfileError("phi_eps must equal -t^(-q) for t <= eps exactly")
 
 
+#: validated profiles by (p, n, eps); a solve builds the same few profiles
+#: at every call, and a profile is never changed once built
+_PROFILES = {}
+
+
 def build_profile(p, n, eps):
     """Construct and validate the eps-modified energy profile.
 
@@ -187,12 +215,22 @@ def build_profile(p, n, eps):
     phi itself. Otherwise a cubic Hermite bridge joins -t^(-q) at eps to
     phi at 3*eps; if the single cubic fails monotonicity or concavity, a
     knot at 2*eps is inserted with slope and value chosen from the interval
-    where both halves stay concave.
+    where both halves stay concave. A validated profile is kept and
+    returned again for the same (p, n, eps); a failure is not kept.
     """
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
     if not (0 < eps < 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3)")
+    key = (p, n, eps)
+    profile = _PROFILES.get(key)
+    if profile is None:
+        profile = _PROFILES[key] = _new_profile(p, n, eps)
+    return profile
+
+
+def _new_profile(p, n, eps):
+    """build_profile's profile, built and validated afresh."""
     q = max(abs(p), n - 1.0)
     if p < 0 and abs(p) >= n - 1.0:
         profile = EnergyProfile(p, n, eps, q, [])
@@ -261,24 +299,16 @@ def optimal_center(body, measure, profile, x0=None):
     else:
         xi = np.asarray(chebyshev_center(body.normals, body.support_values)[0])
 
-    def grad_hess(x):
-        t = h - dirs @ x
-        w1 = profile.dphi(t) * masses
-        w2 = profile.d2phi(t) * masses
-        g = -(dirs.T @ w1)
-        A = (dirs * w2[:, None]).T @ dirs
-        return g, A
+    def evaluate(x):
+        # value, gradient and Hessian at x from one pass over the profile
+        f, d1, d2 = profile.jet(h - dirs @ x)
+        g = -(dirs.T @ (d1 * masses))
+        A = (dirs * (d2 * masses)[:, None]).T @ dirs
+        return float(np.sum(f * masses)), g, A
 
-    def grad_norm(x):
-        return float(np.linalg.norm(grad_hess(x)[0]))
-
-    def value(x):
-        return float(np.sum(profile.phi(h - dirs @ x) * masses))
-
-    fx = value(xi)
+    fx, g, A = evaluate(xi)
     by_value = True  # accept on the value until it stops resolving progress
     for _ in range(CENTER_STEPS):
-        g, A = grad_hess(xi)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= CENTER_TOL * total:
             return xi, gnorm, A
@@ -301,14 +331,13 @@ def optimal_center(body, measure, profile, x0=None):
         for _ in range(100):
             cand = xi + step
             if body.interior_gap(cand) > 0:
+                fc, gc, Ac = evaluate(cand)
                 if by_value:
                     # near the optimum the value gain drops below fp noise
-                    fc = value(cand)
                     if fc > fx or (fc >= fx - 1e-12 * (1.0 + abs(fx))
-                                   and grad_norm(cand) <= 0.5 * gnorm):
-                        fx = fc
+                                   and float(np.linalg.norm(gc)) <= 0.5 * gnorm):
                         break
-                elif grad_norm(cand) < gnorm:
+                elif float(np.linalg.norm(gc)) < gnorm:
                     break
             step = 0.5 * step
         else:
@@ -324,6 +353,6 @@ def optimal_center(body, measure, profile, x0=None):
                                   "limits (grad %.2e, floor %.2e)" % (gnorm, floor))
             by_value = False
             continue
-        xi = cand
+        xi, fx, g, A = cand, fc, gc, Ac
     raise CenterError("optimal center did not converge in %d Newton steps"
                       % CENTER_STEPS)

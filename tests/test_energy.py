@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import random_polygon
-from lpmink.energy import CenterError, build_profile, energy, optimal_center
+from lpmink import energy as energy_module
+from lpmink.energy import (CenterError, EnergyProfile, ProfileError, build_profile,
+                           energy, optimal_center)
 from lpmink.geometry import wulff_shape
 from lpmink.measures import density_measure
 from lpmink.sphere import build_grid
@@ -84,6 +88,106 @@ def test_profile_exponent_and_bridge_pieces():
     prof = build_profile(0.5, 2, 0.1)
     assert prof.q == 1.0
     assert len(prof.pieces) in (1, 2)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Profiles validated while the test runs, starting from no kept profile."""
+    validated = []
+    validate = energy_module._validate_profile
+
+    def counting(profile):
+        validated.append(profile)
+        validate(profile)
+
+    monkeypatch.setattr(energy_module, "_PROFILES", {})
+    monkeypatch.setattr(energy_module, "_validate_profile", counting)
+    return validated
+
+
+def test_build_profile_validates_each_profile_once(validations):
+    first = build_profile(0.5, 2, 0.1)
+    again = build_profile(0.5, 2, 0.1)
+    assert len(validations) == 1
+    assert again.q == first.q
+    assert [(c.t0, c.t1, c.c.tolist()) for c in again.pieces] == \
+        [(c.t0, c.t1, c.c.tolist()) for c in first.pieces]
+    # another p, n or eps is another profile
+    for key in ((0.5, 2, 0.05), (0.5, 3, 0.1), (-0.5, 2, 0.1)):
+        build_profile(*key)
+        build_profile(*key)
+    assert len(validations) == 4
+    # the tracer wraps plain functions only
+    assert inspect.isfunction(energy_module.build_profile)
+
+
+def test_build_profile_keeps_no_failure(validations):
+    # a subnormal p fails validation (|p| t^(p-1) underflows), on every call
+    for _ in range(3):
+        with pytest.raises(ProfileError):
+            build_profile(5e-324, 2, 0.1)
+        for p, n, eps in ((1.0, 2, 0.1), (-2.0, 2, 0.1), (0.5, 2, 0.4)):
+            with pytest.raises(ValueError):
+                build_profile(p, n, eps)
+    assert len(validations) == 3
+    assert energy_module._PROFILES == {}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n,p", [(2, 0.5), (2, 0.0), (2, -0.5), (2, -1.0), (2, -1.9),
+                                 (3, 0.5), (3, -1.0), (3, -2.5)])
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.01])
+def test_profile_jet_is_phi_dphi_d2phi_bit_for_bit(n, p, eps):
+    prof = build_profile(p, n, eps)
+    t = np.concatenate([np.geomspace(eps / 50, eps, 60),
+                        np.linspace(eps, 3 * eps, 301),
+                        np.geomspace(3 * eps, 10.0, 60)])
+    # the sweep crosses every piece
+    assert np.any(t < eps) and np.any(t > 3 * eps)
+    for cub in prof.pieces:
+        assert np.any((t > cub.t0) & (t < cub.t1))
+    f, d1, d2 = prof.jet(t)
+    assert _bits(f) == _bits(prof.phi(t))
+    assert _bits(d1) == _bits(prof.dphi(t))
+    assert _bits(d2) == _bits(prof.d2phi(t))
+    for s in t[::7]:
+        values = prof.jet(float(s))
+        assert all(type(v) is float for v in values)
+        assert _bits(values) == _bits([prof.phi(s), prof.dphi(s), prof.d2phi(s)])
+    for bad in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-eps, eps])):
+        with pytest.raises(ValueError):
+            prof.jet(bad)
+
+
+def test_optimal_center_evaluates_each_point_once(monkeypatch):
+    # one profile pass per candidate; the accepted one's value, gradient
+    # and Hessian carry into the next step
+    points = []
+    jet = EnergyProfile.jet
+
+    def recording(self, t):
+        points.append(np.array(t))
+        return jet(self, t)
+
+    def refuse(self, t):
+        raise AssertionError("optimal_center evaluated one piece of the jet")
+
+    grid = build_grid(2, 256)
+    mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid)
+    body = random_polygon(np.random.default_rng(5))
+    profiles = [build_profile(p, 2, 0.05) for p in (0.5, -1.0)]
+    monkeypatch.setattr(EnergyProfile, "jet", recording)
+    for name in ("phi", "dphi", "d2phi"):
+        monkeypatch.setattr(EnergyProfile, name, refuse)
+    for prof in profiles:
+        points.clear()
+        xi, gnorm, A = optimal_center(body, mu, prof)
+        assert gnorm <= 1e-10 * mu.total_mass
+        assert len(points) >= 3
+        assert len({_bits(t) for t in points}) == len(points)
 
 
 def test_energy_constant_on_disk_like_body():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from conftest import dihedral_group, random_polygon
 from lpmink.energy import build_profile, energy, optimal_center
@@ -607,6 +609,69 @@ def test_newton_finish_builds_no_hull_in_the_plane(grid2, monkeypatch):
     body, steps = newton_finish(mu, -1.0, np.ones(len(grid2)))
     assert 1 <= steps <= 10
     assert verify(body, mu, -1.0)[0] <= FINISH_TOL
+
+
+def _finish_states():
+    """(name, measure, p, s) of Newton-finish states with every facet active."""
+    grid2 = build_grid(2, 256)
+    dipole = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
+    states = [("dipole", dipole, p, np.zeros(256)) for p in (-1.0, 0.5)]
+    # roundtrip2d's polygon 1, at the descent's start and off it
+    poly = random_polygon(np.random.default_rng((0, 1)))
+    pool = smooth_discrete(poly.normals, lp_surface_area_measure(poly, -1.0),
+                           grid2, m=32)
+    states.append(("pool", pool, -1.0, np.zeros(256)))
+    states.append(("pool", pool, -1.0, 0.1 * grid2.nodes[:, 1]))
+    # a support with uneven angular gaps: zero mass on the odd nodes of
+    # the 512-node circle and on every fifth even one
+    grid = build_grid(2, 512)
+    masses = density_measure(lambda U: 1 + 0.3 * U[:, 1], grid).masses
+    masses[1::2] = 0.0
+    masses[::10] = 0.0
+    sub, _ = SphericalMeasure(grid, masses).on_support()
+    states.append(("uneven", sub, 0.5, 0.05 * sub.grid.nodes[:, 0]))
+    d4 = build_grid(2, 64, symmetry=dihedral_group())
+    square = density_measure(lambda U: 1 + 0.3 * U[:, 0] ** 2 * U[:, 1] ** 2, d4)
+    states.append(("d4", square, -0.5, np.zeros(len(d4))))
+    grid3 = build_grid(3, 500)
+    dipole3 = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid3)
+    states.append(("dipole3", dipole3, 0.5, 0.1 * grid3.nodes[:, 2]))
+    return states
+
+
+def test_newton_step_matches_the_general_solve():
+    # the symmetric (banded at n = 2) system gives J's Newton step, with
+    # J = (1-p) I + diag(1/S) (dS/dh) diag(h) solved as a general sparse
+    # system
+    for name, measure, p, s in _finish_states():
+        nodes = measure.grid.nodes
+        h = np.exp(s)
+        hint = np.zeros(measure.dim)
+        if measure.dim == 2:
+            body = geometry.polygon_all_active(nodes, h, hint)
+        else:
+            body = wulff_shape(3, nodes, h, interior_hint=hint)
+        assert np.all(body.facet_areas > 0), name
+        F = (1 - p) * s + np.log(body.facet_areas) - np.log(measure.masses)
+        J = geometry.facet_jacobian(body).toarray()
+        J = J / body.facet_areas[:, None] * h[None, :] + (1 - p) * np.eye(len(h))
+        expected = spsolve(sparse.csr_matrix(J), -F)
+        ds = solver._newton_step(body, p, F)
+        assert np.max(np.abs(ds - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+
+def test_newton_finish_ends_on_an_exactly_singular_step():
+    # at p = 0 a rectangle's F is unchanged when one pair of sides grows
+    # and the other shrinks in proportion (the log-Minkowski rectangles),
+    # so J is exactly singular; the finish gives up instead of raising
+    grid = DirectionGrid(2, [[1, 0], [0, 1], [-1, 0], [0, -1]], np.full(4, np.pi / 2))
+    mu = SphericalMeasure(grid, [1.0, 2.0, 3.0, 2.0])
+    h = np.array([1.0, 4.0, 1.0, 4.0])
+    body = geometry.polygon_all_active(grid.nodes, h, np.zeros(2))
+    J = geometry.facet_jacobian(body).toarray() / body.facet_areas[:, None] * h
+    J += np.eye(4)
+    assert np.all(J @ [1.0, -1.0, 1.0, -1.0] == 0)
+    assert newton_finish(mu, 0.0, h) is None
 
 
 #: the ellipse and ellipsoid of the ladder, their off-centre centres, the
