@@ -203,11 +203,6 @@ def _validate_profile(profile):
         raise ProfileError("phi_eps must equal -t^(-q) for t <= eps exactly")
 
 
-#: validated profiles by (p, n, eps); a solve builds the same few profiles
-#: at every call, and a profile is never changed once built
-_PROFILES = {}
-
-
 def build_profile(p, n, eps):
     """Construct and validate the eps-modified energy profile.
 
@@ -215,22 +210,12 @@ def build_profile(p, n, eps):
     phi itself. Otherwise a cubic Hermite bridge joins -t^(-q) at eps to
     phi at 3*eps; if the single cubic fails monotonicity or concavity, a
     knot at 2*eps is inserted with slope and value chosen from the interval
-    where both halves stay concave. A validated profile is kept and
-    returned again for the same (p, n, eps); a failure is not kept.
+    where both halves stay concave.
     """
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
     if not (0 < eps < 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3)")
-    key = (p, n, eps)
-    profile = _PROFILES.get(key)
-    if profile is None:
-        profile = _PROFILES[key] = _new_profile(p, n, eps)
-    return profile
-
-
-def _new_profile(p, n, eps):
-    """build_profile's profile, built and validated afresh."""
     q = max(abs(p), n - 1.0)
     if p < 0 and abs(p) >= n - 1.0:
         profile = EnergyProfile(p, n, eps, q, [])

@@ -190,13 +190,13 @@ def newton_finish(measure, p, h):
     The origin stays fixed and the unknowns are the log-supports s = log h,
     so F(s) = (1-p) s + log S(e^s) - log mu and
 
-        J = (1-p) I + diag(1/S) (dS/dh) diag(h).
+        J = (1-p) I + diag(1/S) (dS/dh) diag(h),
 
-    The step solves the equivalent symmetric system B y = -S F, ds = y / h,
-    with B = dS/dh + (1-p) diag(S/h): at n = 2 as a band of half-width 2
-    built from the normals, at n = 3 from ``facet_jacobian`` by SuperLU
-    (see _newton_step). ``h`` must be positive, so the origin is the
-    interior hint of the start's Wulff shape. When
+    with dS/dh from ``facet_jacobian`` at n = 3. At n = 2 the step solves
+    the equivalent symmetric system B y = -S F, ds = y / h, with
+    B = dS/dh + (1-p) diag(S/h), as a band of half-width 2 built from the
+    normals (see _newton_step). ``h`` must be positive, so the origin is
+    the interior hint of the start's Wulff shape. When
     wulff_shape refuses that hint, or some facet of the shape is inactive,
     every offset first gains FINISH_MARGIN times their mean, which adds a
     circumscribed polytope and makes every facet active. A step is halved
@@ -223,7 +223,7 @@ def newton_finish(measure, p, h):
     # one row per merit: sum mu_i F_i^2 and |F|^2
     weights = np.stack([measure.masses, np.ones(len(h))])
     with np.errstate(all="ignore"), warnings.catch_warnings():
-        # at n = 3 a singular Jacobian surfaces as a non-finite step
+        # a singular Jacobian surfaces as a non-finite step
         warnings.simplefilter("ignore", MatrixRankWarning)
         origin = np.zeros(measure.dim)
         s = np.log(h)
@@ -242,12 +242,7 @@ def newton_finish(measure, p, h):
                 return _checked(body, steps)
             if steps == FINISH_STEPS:
                 return None
-            try:
-                ds = _newton_step(body, p, F)
-            except (np.linalg.LinAlgError, ValueError):
-                # the banded LU met a zero pivot or a non-finite entry
-                return None
-            ds = measure.orbit_average(ds)
+            ds = measure.orbit_average(_newton_step(body, p, F))
             if not np.all(np.isfinite(ds)):
                 return None
             if (np.sqrt(measure.masses @ ds ** 2 / total)
@@ -270,28 +265,25 @@ def newton_finish(measure, p, h):
 
 
 def _newton_step(body, p, F):
-    """The Newton correction ds, J ds = -F, through the symmetric system.
+    """The Newton correction ds, J ds = -F; non-finite when J is singular.
 
-    With ds = y / h, J ds = -F is B y = -S F for the symmetric
-    B = dS/dh + (1-p) diag(S / h). At n = 2 B is cyclic tridiagonal in
-    the polygon's angular order, with 1 / sin(theta) beside the diagonal
-    and -(cot(theta_-) + cot(theta_+)) + (1-p) S / h on it; taking that
-    cycle as 0, m-1, 1, m-2, ... makes it a band of half-width 2, solved
-    by LAPACK's banded LU. At n = 3 B is facet_jacobian's matrix with the
-    diagonal added, solved by SuperLU. A singular B raises LinAlgError
-    (n = 2) or gives a non-finite ds (n = 3); a non-finite B raises
-    ValueError at n = 2.
+    At n = 3 J is scaled in place on facet_jacobian's canonical CSR, which
+    stores each diagonal entry once, and solved by SuperLU. At n = 2 the
+    step solves the equivalent symmetric system B y = -S F, ds = y / h,
+    with B = dS/dh + (1-p) diag(S / h). B is cyclic tridiagonal in the
+    polygon's angular order, with 1 / sin(theta) beside the diagonal and
+    -(cot(theta_-) + cot(theta_+)) + (1-p) S / h on it; taking that cycle
+    as 0, m-1, 1, m-2, ... makes it a band of half-width 2, solved by
+    LAPACK's banded LU.
     """
-    h, S = body.support_values, body.facet_areas
-    shift = (1.0 - p) * S / h
     if body.dim == 3:
-        # the diagonal in place on facet_jacobian's canonical CSR, which
-        # stores each diagonal entry once
-        B = facet_jacobian(body)
-        rows = np.repeat(np.arange(len(h)), np.diff(B.indptr))
-        diag = B.indices == rows
-        B.data[diag] += shift[rows[diag]]
-        return spsolve(B, -S * F) / h
+        J = facet_jacobian(body)
+        rows = np.repeat(np.arange(len(F)), np.diff(J.indptr))
+        J.data *= (1.0 / body.facet_areas)[rows]
+        J.data *= body.support_values[J.indices]
+        J.data[J.indices == rows] += 1.0 - p
+        return spsolve(J, -F)
+    h, S = body.support_values, body.facet_areas
     # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
     a, b = body.ridges[0].T
     m = len(a)
@@ -306,12 +298,17 @@ def _newton_step(body, p, F):
     pos[perm] = np.arange(m)
     nodes = a[perm]
     band = np.zeros((5, m))
-    band[2] = shift[nodes] - (cot[perm] + cot[perm - 1])
+    band[2] = ((1.0 - p) * S / h)[nodes] - (cot[perm] + cot[perm - 1])
     i, j = pos, np.concatenate([pos[1:], pos[:1]])
     band[2 + i - j, j] = off
     band[2 + j - i, i] = off
-    y = np.empty(m)
-    y[nodes] = solve_banded((2, 2), band, (-S * F)[nodes])
+    rhs = (-S * F)[nodes]
+    y = np.full(m, np.nan)
+    if np.all(np.isfinite(band)) and np.all(np.isfinite(rhs)):
+        try:
+            y[nodes] = solve_banded((2, 2), band, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass  # a zero pivot: B is singular, and y stays NaN
     return y / h
 
 

@@ -1,12 +1,9 @@
-import inspect
-
 import numpy as np
 import pytest
 
 from conftest import random_polygon
-from lpmink import energy as energy_module
-from lpmink.energy import (CenterError, EnergyProfile, ProfileError, build_profile,
-                           energy, optimal_center)
+from lpmink.energy import (CenterError, EnergyProfile, build_profile, energy,
+                           optimal_center)
 from lpmink.geometry import wulff_shape
 from lpmink.measures import density_measure
 from lpmink.sphere import build_grid
@@ -88,49 +85,6 @@ def test_profile_exponent_and_bridge_pieces():
     prof = build_profile(0.5, 2, 0.1)
     assert prof.q == 1.0
     assert len(prof.pieces) in (1, 2)
-
-
-@pytest.fixture
-def validations(monkeypatch):
-    """Profiles validated while the test runs, starting from no kept profile."""
-    validated = []
-    validate = energy_module._validate_profile
-
-    def counting(profile):
-        validated.append(profile)
-        validate(profile)
-
-    monkeypatch.setattr(energy_module, "_PROFILES", {})
-    monkeypatch.setattr(energy_module, "_validate_profile", counting)
-    return validated
-
-
-def test_build_profile_validates_each_profile_once(validations):
-    first = build_profile(0.5, 2, 0.1)
-    again = build_profile(0.5, 2, 0.1)
-    assert len(validations) == 1
-    assert again.q == first.q
-    assert [(c.t0, c.t1, c.c.tolist()) for c in again.pieces] == \
-        [(c.t0, c.t1, c.c.tolist()) for c in first.pieces]
-    # another p, n or eps is another profile
-    for key in ((0.5, 2, 0.05), (0.5, 3, 0.1), (-0.5, 2, 0.1)):
-        build_profile(*key)
-        build_profile(*key)
-    assert len(validations) == 4
-    # the tracer wraps plain functions only
-    assert inspect.isfunction(energy_module.build_profile)
-
-
-def test_build_profile_keeps_no_failure(validations):
-    # a subnormal p fails validation (|p| t^(p-1) underflows), on every call
-    for _ in range(3):
-        with pytest.raises(ProfileError):
-            build_profile(5e-324, 2, 0.1)
-        for p, n, eps in ((1.0, 2, 0.1), (-2.0, 2, 0.1), (0.5, 2, 0.4)):
-            with pytest.raises(ValueError):
-                build_profile(p, n, eps)
-    assert len(validations) == 3
-    assert energy_module._PROFILES == {}
 
 
 def _bits(x):

@@ -640,9 +640,9 @@ def _finish_states():
 
 
 def test_newton_step_matches_the_general_solve():
-    # the symmetric (banded at n = 2) system gives J's Newton step, with
+    # at n = 2 the banded symmetric system gives J's Newton step, with
     # J = (1-p) I + diag(1/S) (dS/dh) diag(h) solved as a general sparse
-    # system
+    # system; at n = 3 the step is that solve
     for name, measure, p, s in _finish_states():
         nodes = measure.grid.nodes
         h = np.exp(s)
