@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lpmink.energy import CenterError
+from lpmink.energy import CenterError, ProfileError
 from lpmink.geometry import (GeometryError, body_to_off, lp_surface_area_measure,
                              wulff_shape)
 from lpmink.identities import IdentityError, ellipsoid_model, fp_identity_matrix
@@ -415,7 +415,7 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir)
     except (ConfigError, GridError, MeasureError, GeometryError,
-            IdentityError, SolverError) as exc:
+            IdentityError, ProfileError, SolverError) as exc:
         if isinstance(exc, HypothesisError):
             sys.stderr.write("hypothesis check failed: %s\n" % exc)
             return EXIT_HYPOTHESIS

@@ -56,19 +56,15 @@ class _Cubic:
         self.c = np.array([v0, m0, (3.0 * d - 2.0 * m0 - m1) / h,
                            (m0 + m1 - 2.0 * d) / h ** 2])
 
-    def val(self, t):
+    def at(self, order, t):
+        """The order-th derivative of the cubic at t."""
         s = t - self.t0
         c = self.c
-        return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
-
-    def der(self, t):
-        s = t - self.t0
-        c = self.c
-        return c[1] + s * (2.0 * c[2] + 3.0 * s * c[3])
-
-    def der2(self, t):
-        s = t - self.t0
-        return 2.0 * self.c[2] + 6.0 * self.c[3] * s
+        if order == 0:
+            return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+        if order == 1:
+            return c[1] + s * (2.0 * c[2] + 3.0 * s * c[3])
+        return 2.0 * c[2] + 6.0 * c[3] * s
 
 
 def _feasible_two_piece(a, b, va, vb, ma, mb):
@@ -93,9 +89,8 @@ def _feasible_two_piece(a, b, va, vb, ma, mb):
     return a + h, 0.5 * (v_lo + v_hi), mc
 
 
-#: the pieces above 3*eps and on the bridge, by derivative order
+#: the piece above 3*eps, by derivative order
 _RAW = (_phi_raw, _dphi_raw, _d2phi_raw)
-_BRIDGE = (_Cubic.val, _Cubic.der, _Cubic.der2)
 
 
 class EnergyProfile:
@@ -151,7 +146,7 @@ class EnergyProfile:
                 for out, k in zip(outs, orders):
                     res = np.empty_like(tm)
                     for cub, sel in sels:
-                        res[sel] = _BRIDGE[k](cub, tm[sel])
+                        res[sel] = cub.at(k, tm[sel])
                     out[mid] = res
         if scalar:
             return tuple(float(out[0]) for out in outs)
@@ -178,29 +173,31 @@ class EnergyProfile:
 
 
 def _validate_profile(profile):
-    eps = profile.eps
-    # dense sweep plus extra resolution around the bridge
-    t = np.concatenate([
-        np.geomspace(1e-6, 10.0, 4000),
-        np.linspace(0.5 * eps, 4.0 * eps, 2000),
-    ])
-    t = np.unique(t)
-    dp = profile.dphi(t)
-    d2p = profile.d2phi(t)
-    if np.any(dp <= 0):
-        raise ProfileError("phi_eps' must be strictly positive")
-    if np.any(d2p >= 0):
-        raise ProfileError("phi_eps'' must be strictly negative")
-    t01 = t[(t > 0) & (t < 1)]
-    if np.any(profile.phi(t01) < -(t01 ** (-profile.q)) - 1e-9 * t01 ** (-profile.q)):
-        raise ProfileError("phi_eps must dominate -t^(-q) on (0, 1)")
-    # exact piece agreement
-    t_hi = np.linspace(3.0 * eps, 8.0, 200)
-    if not np.allclose(profile.phi(t_hi), _phi_raw(profile.p, t_hi), rtol=0, atol=0):
-        raise ProfileError("phi_eps must equal phi for t >= 3 eps exactly")
-    t_lo = np.linspace(eps / 50.0, eps, 200)
-    if not np.allclose(profile.phi(t_lo), -(t_lo ** (-profile.q)), rtol=0, atol=0):
-        raise ProfileError("phi_eps must equal -t^(-q) for t <= eps exactly")
+    """Check phi_eps' > 0, phi_eps'' < 0 and phi_eps >= -t^(-q) on (0, 1).
+
+    Below eps phi_eps is -t^(-q). Above 3 eps |phi'| and |phi''| fall with
+    t, so their signs hold on [3 eps, 10] if they hold at 10 (a subnormal p
+    underflows them), and |p| < q gives phi >= -t^(-q). On the bridge the
+    knots and coefficients must be finite (NaN fails no comparison), and
+    one jet pass samples the points of geomspace(1e-6, 10, 4000) and
+    linspace(eps/2, 4 eps, 2000) in (eps, 3 eps).
+    """
+    p, eps, q = profile.p, profile.eps, profile.q
+    if not (_dphi_raw(p, 10.0) > 0 and _d2phi_raw(p, 10.0) < 0):
+        raise ProfileError("phi' or phi'' vanishes at t = 10 for p = %r" % p)
+    if profile.is_unmodified:
+        return
+    if not all(np.all(np.isfinite([cub.t0, cub.t1, *cub.c]))
+               for cub in profile.pieces):
+        raise ProfileError("the bridge at eps = %.3g has non-finite data" % eps)
+    t = np.concatenate([np.geomspace(1e-6, 10.0, 4000),
+                        np.linspace(0.5 * eps, 4.0 * eps, 2000)])
+    t = t[(t > eps) & (t < 3.0 * eps)]
+    f, dp, d2p = profile.jet(t)
+    floor = -(t ** (-q))
+    if np.any(dp <= 0) or np.any(d2p >= 0) or np.any(f < floor + 1e-9 * floor):
+        raise ProfileError("the bridge at eps = %.3g is not increasing, concave "
+                           "and above -t^(-q)" % eps)
 
 
 def build_profile(p, n, eps):
@@ -210,27 +207,29 @@ def build_profile(p, n, eps):
     phi itself. Otherwise a cubic Hermite bridge joins -t^(-q) at eps to
     phi at 3*eps; if the single cubic fails monotonicity or concavity, a
     knot at 2*eps is inserted with slope and value chosen from the interval
-    where both halves stay concave.
+    where both halves stay concave. ProfileError is raised when validation
+    fails, as when the bridge data overflow a double.
     """
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
     if not (0 < eps < 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3)")
     q = max(abs(p), n - 1.0)
-    if p < 0 and abs(p) >= n - 1.0:
-        profile = EnergyProfile(p, n, eps, q, [])
-        _validate_profile(profile)
-        return profile
-
-    a, b = eps, 3.0 * eps
-    va, ma = -(a ** -q), q * a ** (-q - 1.0)
-    vb, mb = _phi_raw(p, b), _dphi_raw(p, b)
-    single = _Cubic(a, b, va, vb, ma, mb)
-    if single.der2(a) < 0 and single.der2(b) < 0:
-        pieces = [single]
-    else:
-        tc, vc, mc = _feasible_two_piece(a, b, va, vb, ma, mb)
-        pieces = [_Cubic(a, tc, va, vc, ma, mc), _Cubic(tc, b, vc, vb, mc, mb)]
+    pieces = []
+    if p > -(n - 1.0):
+        # in numpy floats an overflow is inf; non-finite data take no
+        # fallback, and validation rejects them
+        a, b = np.float64(eps), 3.0 * np.float64(eps)
+        with np.errstate(all="ignore"):
+            va, ma = -(a ** -q), q * a ** (-q - 1.0)
+            vb, mb = _phi_raw(p, b), _dphi_raw(p, b)
+            single = _Cubic(a, b, va, vb, ma, mb)
+            pieces = [single]
+            if np.all(np.isfinite(single.c)) and not (
+                    single.at(2, a) < 0 and single.at(2, b) < 0):
+                tc, vc, mc = _feasible_two_piece(a, b, va, vb, ma, mb)
+                pieces = [_Cubic(a, tc, va, vc, ma, mc),
+                          _Cubic(tc, b, vc, vb, mc, mb)]
     profile = EnergyProfile(p, n, eps, q, pieces)
     _validate_profile(profile)
     return profile

@@ -488,6 +488,8 @@ def solve(measure, p, opts=None):
     ``symmetrize_hemisphere`` first. A subnormal p is solved as p = 0,
     which it equals in double precision. ValueError is raised unless
     stages >= 1 and max_iter >= 0; max_iter = 0 only tries the finish.
+    ProfileError is raised before any descent when no double profile
+    exists at the schedule's final eps.
     """
     opts = opts or SolveOptions()
     n = measure.dim
@@ -500,6 +502,8 @@ def solve(measure, p, opts=None):
         # a subnormal p underflows |p| t^(p-1), while h^(1-p) rounds to h:
         # in double precision the problem is the p = 0 one
         p = 0.0
+    # the finish record's profile, at the schedule's final eps
+    final = build_profile(p, n, EPS0 * 2.0 ** (-(opts.stages - 1)))
     sub, support = measure.on_support()
     hull = positive_hull_check(sub)
     if hull.L_dim < n or not hull.pos_equals_L:
@@ -524,9 +528,7 @@ def solve(measure, p, opts=None):
         M, report.newton_steps = finisher.result
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
-        eps_scheduled = EPS0 * 2.0 ** (-(opts.stages - 1))
-        report.stages.append(_finish_record(M.scaled(1.0 / lam), sub, p,
-                                            eps_scheduled))
+        report.stages.append(_finish_record(M.scaled(1.0 / lam), sub, final))
     else:
         # the limit identity holds for the body recentered at its optimal
         # center
@@ -546,14 +548,13 @@ def solve(measure, p, opts=None):
     return M, report
 
 
-def _finish_record(body, measure, p, eps):
+def _finish_record(body, measure, profile):
     """StageRecord of a successful finish; ``body`` is its volume-one body.
 
-    The Euler-Lagrange data are recomputed at the optimal center for the
-    profile at ``eps``; the record is stationary when max |r| <= EL_TOL
-    lambda_eps, as for a descent stage.
+    The Euler-Lagrange data are recomputed at the optimal center for
+    ``profile``, the schedule's final one; the record is stationary when
+    max |r| <= EL_TOL lambda_eps, as for a descent stage.
     """
-    profile = build_profile(p, body.dim, eps)
     try:
         # a support value far below eps overflows the barrier's derivatives
         with np.errstate(over="ignore", invalid="ignore"):
@@ -565,7 +566,7 @@ def _finish_record(body, measure, p, eps):
         residual = float(np.max(np.abs(r))) / lambda_eps
     except (CenterError, SolverError):
         residual = lambda_eps = energy = None
-    return StageRecord(eps, 0, residual, lambda_eps, energy,
+    return StageRecord(profile.eps, 0, residual, lambda_eps, energy,
                        residual is not None and residual <= EL_TOL)
 
 

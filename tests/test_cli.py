@@ -46,6 +46,27 @@ def test_solve_verifies_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n,stages", [("3", "400"), ("2", "600")])
+def test_solve_whose_final_eps_no_double_can_bridge_exits_1(tmp_path, capsys,
+                                                           n, stages):
+    # the bridge data at eps = 0.1 * 2^-(stages-1) overflow a double
+    code = run_cli(["solve", "--n", n, "--p", "0.5", "--c", "1",
+                    "--stages", stages, "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_with_a_long_schedule_and_no_bridge_exits_0(tmp_path):
+    # p = -1 = -(n-1): phi_eps is -1/t at every eps, so no bridge can
+    # overflow; an overflow warning would fail this test
+    code = run_cli(["solve", "--n", "2", "--p", "-1", "--c", "1",
+                    "--stages", "600", "--output-dir", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] and report["stages"][-1]["eps"] == 0.1 * 2.0 ** -599
+
+
 def test_solve_config_file(tmp_path):
     cfg = {
         "n": 2, "p": -0.5,

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import random_polygon
-from lpmink.energy import (CenterError, EnergyProfile, build_profile, energy,
-                           optimal_center)
+from lpmink import energy as energy_module
+from lpmink.energy import (CenterError, EnergyProfile, ProfileError, build_profile,
+                           energy, optimal_center)
 from lpmink.geometry import wulff_shape
 from lpmink.measures import density_measure
 from lpmink.sphere import build_grid
@@ -85,6 +88,72 @@ def test_profile_exponent_and_bridge_pieces():
     prof = build_profile(0.5, 2, 0.1)
     assert prof.q == 1.0
     assert len(prof.pieces) in (1, 2)
+
+
+def _sweep_validate(profile):
+    """Reference check: phi_eps' > 0, phi_eps'' < 0 and phi_eps >= -t^(-q)
+    on a dense 6000-point sweep of [1e-6, 10] and [eps/2, 4 eps], and
+    phi_eps equal to its two closed-form pieces outside the bridge."""
+    eps, q = profile.eps, profile.q
+    t = np.unique(np.concatenate([np.geomspace(1e-6, 10.0, 4000),
+                                  np.linspace(0.5 * eps, 4.0 * eps, 2000)]))
+    if np.any(profile.dphi(t) <= 0) or np.any(profile.d2phi(t) >= 0):
+        raise ProfileError("not increasing and concave")
+    t01 = t[(t > 0) & (t < 1)]
+    if np.any(profile.phi(t01) < -(t01 ** (-q)) - 1e-9 * t01 ** (-q)):
+        raise ProfileError("below -t^(-q)")
+    t_hi = np.linspace(3.0 * eps, 8.0, 200)
+    if not np.allclose(profile.phi(t_hi), base_phi(profile.p, t_hi), rtol=0, atol=0):
+        raise ProfileError("phi_eps differs from phi above 3 eps")
+    t_lo = np.linspace(eps / 50.0, eps, 200)
+    if not np.allclose(profile.phi(t_lo), -(t_lo ** (-q)), rtol=0, atol=0):
+        raise ProfileError("phi_eps differs from -t^(-q) below eps")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_profile_agrees_with_the_sweep_reference(n, monkeypatch):
+    # build_profile checks in closed form where it can, and samples only
+    # the bridge; it must reject whatever the dense sweep rejects, and keep,
+    # bit for bit, what the sweep accepts with finite bridge data
+    ps = list(np.linspace(-n, 1.0, 34)[1:-1]) + [
+        5e-324, -5e-324, 1e-320, 2.2e-308, -(n - 1) + 1e-12, -(n - 1) - 1e-12,
+        -n + 1e-15, 1 - 1e-16]
+    counts = {"rejected": 0, "kept": 0, "non-finite": 0}
+    for p in map(float, ps):
+        for eps in map(float, np.geomspace(1e-120, 0.333, 24)):
+            with monkeypatch.context() as m:
+                m.setattr(energy_module, "_validate_profile", _sweep_validate)
+                try:
+                    with np.errstate(all="ignore"):
+                        reference = build_profile(p, n, eps)
+                except ProfileError:
+                    reference = None
+            if reference is None:
+                with pytest.raises(ProfileError):
+                    build_profile(p, n, eps)
+                counts["rejected"] += 1
+            elif not all(np.all(np.isfinite([c.t0, c.t1, *c.c]))
+                         for c in reference.pieces):
+                with pytest.raises(ProfileError):
+                    build_profile(p, n, eps)
+                counts["non-finite"] += 1
+            else:
+                prof = build_profile(p, n, eps)
+                assert (prof.p, prof.eps, prof.q) == (p, eps, reference.q)
+                assert [(c.t0, c.t1, _bits(c.c)) for c in prof.pieces] == \
+                    [(c.t0, c.t1, _bits(c.c)) for c in reference.pieces]
+                counts["kept"] += 1
+    # the grid reaches every outcome
+    assert min(counts.values()) > 0, counts
+
+
+def test_validation_rejects_a_nan_cubic_the_sweep_accepts():
+    prof = copy.deepcopy(build_profile(0.5, 2, 0.1))
+    prof.pieces[-1].c[3] = np.nan
+    with np.errstate(all="ignore"):
+        _sweep_validate(prof)
+    with pytest.raises(ProfileError):
+        energy_module._validate_profile(prof)
 
 
 def _bits(x):

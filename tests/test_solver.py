@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from conftest import dihedral_group, random_polygon
-from lpmink.energy import build_profile, energy, optimal_center
+from lpmink.energy import ProfileError, build_profile, energy, optimal_center
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
 from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
@@ -486,6 +486,52 @@ def test_solve_reproduces_random_smooth_densities(N, p, terms):
     assert verify(M, mu, p)[0] <= 1e-9
 
 
+@pytest.mark.parametrize("n,stages", [(3, 400), (2, 600)])
+def test_solve_checks_the_final_profile_before_any_descent(n, stages, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the descent started")
+
+    monkeypatch.setattr(solver, "minimize_fixed_eps", refuse)
+    mu = uniform_measure(build_grid(n, 100))
+    with pytest.raises(ProfileError, match="non-finite"):
+        solve(mu, 0.5, SolveOptions(stages=stages))
+
+
+def _quadratic_density(coeffs):
+    # 1 + a.u + u^T B u, B symmetric, scaled so the density stays in [1/2, 3/2]
+    a = np.array(coeffs[:3])
+    B = np.array([[coeffs[3], coeffs[4], coeffs[5]],
+                  [coeffs[4], coeffs[6], coeffs[7]],
+                  [coeffs[5], coeffs[7], coeffs[8]]])
+    scale = min(1.0, 0.5 / max(np.linalg.norm(a) + np.linalg.norm(B, 2), 1e-300))
+    a, B = scale * a, scale * B
+    return lambda U: 1 + U @ a + np.einsum("ij,jk,ik->i", U, B, U)
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([100, 250]), p=st.floats(-2.0, 0.95, exclude_min=True),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+def test_solve_reproduces_random_smooth_densities_n3(N, p, coeffs):
+    # p > -(n-1); below, the descent fails on some draws (the xfail below)
+    mu = density_measure(_quadratic_density(coeffs), build_grid(3, N))
+    M, report = solve(mu, p)
+    assert report.converged
+    assert verify(M, mu, p)[0] <= 1e-9
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True,
+                   reason="the descent fails for some quadratic densities at "
+                          "p <= -(n-1) on the 100-node sphere")
+def test_solve_random_smooth_density_n3_near_minus_n():
+    # a falsifying example of the property above drawn over p in
+    # (-2.5, -2]: the descent ends in the diameter guard
+    p, coeffs = -2.4889419788694322, [0, 0, 0.9, -0.7566263061358427, 0, 0, 0, 0, 0]
+    mu = density_measure(_quadratic_density(coeffs), build_grid(3, 100))
+    M, report = solve(mu, p)
+    assert report.converged
+    assert verify(M, mu, p)[0] <= 1e-9
+
+
 @pytest.mark.parametrize("p", [0.5, -0.5])
 def test_solve_density_vanishing_on_an_arc(grid2, p):
     # passes the hemisphere pre-flight; on the full grid the optimal center
@@ -700,3 +746,24 @@ def test_discretization_error_is_second_order(n, off_centre, p):
     errors = np.array(errors)
     assert np.all(errors[:-1] / errors[1:] >= min_ratio), errors
     assert errors[-1] <= finest
+
+
+@settings(max_examples=30, deadline=None)
+@given(semiaxes=st.tuples(st.floats(0.7, 1.5), st.floats(0.7, 1.5)),
+       radius=st.floats(0.0, 0.3), angle=st.floats(0.0, 2 * np.pi),
+       p=st.sampled_from([0.5, 0.0, -1.0]))
+def test_discretization_error_is_second_order_for_drawn_ellipses(semiaxes, radius,
+                                                                 angle, p):
+    # the n = 2 ladder on an ellipse with drawn semiaxes, whose centre lies
+    # within 0.3 times the shorter semiaxis of the origin
+    _, _, ladder, min_ratio, _ = _LADDERS[2]
+    centre = radius * min(semiaxes) * np.array([np.cos(angle), np.sin(angle)])
+    K = ellipsoid_model(semiaxes, center=centre)
+    errors = []
+    for N in ladder:
+        grid = build_grid(2, N)
+        M, report = solve(density_measure(lambda U: K.f_p(U, p), grid), p)
+        assert report.converged
+        errors.append(np.max(np.abs(M.support_values - K.h(grid.nodes))))
+    errors = np.array(errors)
+    assert np.all(errors[:-1] / errors[1:] >= min_ratio), errors
