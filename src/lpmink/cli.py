@@ -151,8 +151,10 @@ def _require(cfg, key, kind=None, default=None):
     if val is None:
         raise ConfigError("missing config field '%s'" % key)
     try:
+        if kind is int and (isinstance(val, bool) or not float(val).is_integer()):
+            raise ValueError("not a whole number")
         return val if kind is None else kind(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("field '%s' has the wrong type" % key) from exc
 
 
@@ -309,9 +311,8 @@ def cmd_identity(cfg, outdir):
         raise ConfigError("identity requires p in [-n, 1), p != 0")
     semiaxes = _require(cfg, "ellipse", _vector(n), [1.0] * n)
     center = _require(cfg, "center", _vector(n), [0.0] * n)
-    resolution = _require(_grid_config(cfg), "resolution", int,
-                          720 if n == 2 else 2000)
-    grid = build_grid(n, resolution)
+    _grid_config(cfg).setdefault("resolution", 720 if n == 2 else 2000)
+    grid = build_problem_grid(cfg, n)
     body = ellipsoid_model(semiaxes, center=center)
     M, target, dev = fp_identity_matrix(body, p, grid)
     _dump_json(outdir / "report.json", {

@@ -24,6 +24,16 @@ class HypothesisError(MeasureError):
     """An existence hypothesis of the solvability theory is violated."""
 
 
+def _group_permutations(grid, group):
+    """The group as one (k, n, n) array and the grid's kept table of it."""
+    try:
+        mats = validate_group(group, grid.dim)
+        return mats, grid.node_permutations(mats)
+    except GridError as exc:
+        raise MeasureError("invalid invariance group: %s; use a finite orthogonal group"
+                           " and a grid closed under it (grid.symmetry)" % exc) from exc
+
+
 class SphericalMeasure:
     """Finite Borel measure as weighted atoms on grid directions.
 
@@ -39,8 +49,8 @@ class SphericalMeasure:
         Finite orthogonal invariance group; the solver descends on the
         subspace of offsets invariant under it.
     permutations : ndarray, shape (k, N), or None
-        Row g is the index array ``pi`` with ``nodes[pi[i]] == group[g] @
-        nodes[i]`` up to matching tolerance.
+        The grid's read-only table: row g is the index array ``pi`` with
+        ``nodes[pi[i]] == group[g] @ nodes[i]`` up to matching tolerance.
     """
 
     def __init__(self, grid, masses, density_bounds=None, group=None):
@@ -62,14 +72,9 @@ class SphericalMeasure:
         self.grid = grid
         self.masses = masses
         self.density_bounds = density_bounds
-        self.group = None
-        self.permutations = None
+        self.group, self.permutations = None, None
         if group is not None:
-            try:
-                self.group = validate_group(group, grid.dim)
-                self.permutations = grid.node_permutations(self.group)
-            except GridError as exc:
-                raise MeasureError("invalid invariance group: %s" % exc) from exc
+            self.group, self.permutations = _group_permutations(grid, group)
             scale = max(masses.max(), 1e-300)
             if np.max(np.abs(masses[self.permutations] - masses)) > 1e-8 * scale:
                 raise MeasureError("masses are not invariant under the group")
@@ -253,11 +258,7 @@ def smooth_discrete(directions, masses, grid, group=None, m=8):
     if group is None:
         mats, perms = np.eye(grid.dim)[None], np.arange(len(grid))[None]
     else:
-        mats = validate_group(group, grid.dim)
-        try:
-            perms = grid.node_permutations(mats)
-        except GridError as exc:
-            raise MeasureError("invalid invariance group: %s" % exc) from exc
+        mats, perms = _group_permutations(grid, group)
 
     # the net and the cells live on the lowest-index node of each orbit
     orbit_low = perms.min(axis=0)
@@ -680,12 +681,8 @@ def symmetrize_hemisphere(measure):
 
     # mu0(u) = sum_i mu(A^i u), read through the node permutations of the
     # group {A^i}
-    group = np.array([np.linalg.matrix_power(A, i) for i in range(d + 1)])
-    try:
-        perms = measure.grid.node_permutations(group)
-    except GridError as exc:
-        raise MeasureError("%s; use a grid closed under the simplex rotation"
-                           % exc) from exc
+    group, perms = _group_permutations(
+        measure.grid, [np.linalg.matrix_power(A, i) for i in range(d + 1)])
     mu0 = SphericalMeasure(measure.grid, measure.masses[perms].sum(axis=0),
                            group=group)
     return mu0, simplex, A, np.array(cone_normals)

@@ -135,16 +135,17 @@ def el_residual(body, xi, measure, profile):
     return r, lambda_eps
 
 
-def evaluate_offsets(measure, profile, h, xi0=None, validate=True):
+def evaluate_offsets(measure, profile, h, xi0=None):
     """Build the volume-normalized Wulff shape at offsets h and score it.
 
     Returns (body, xi, energy, r, lambda_eps) where the body has volume one,
     xi is its optimal center, energy is Phi_eps(body, xi), and (r,
-    lambda_eps) are the Euler-Lagrange data at the iterate.
+    lambda_eps) are the Euler-Lagrange data at the iterate. The body is not
+    validated: minimize_fixed_eps validates the one it returns.
     """
     grid = measure.grid
     raw = wulff_shape(grid.dim, grid.nodes, np.asarray(h, dtype=float),
-                      validate=validate, interior_hint=xi0)
+                      validate=False, interior_hint=xi0)
     body = raw.scaled(raw.volume ** (-1.0 / grid.dim))
     xi, _, _ = optimal_center(body, measure, profile, x0=xi0)
     t = body.support_values - body.normals @ xi
@@ -384,8 +385,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     else:
         h = np.asarray(h0, dtype=float).copy()
 
-    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0,
-                                                validate=False)
+    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0)
     if energy_trace is not None:
         energy_trace.append(energy)
     h = body.support_values.copy()
@@ -427,8 +427,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
         for _ in range(60):
             try:
                 nbody, nxi, nenergy, nr, nlam = evaluate_offsets(
-                    measure, profile, h - step * direction, xi0=xi,
-                    validate=False)
+                    measure, profile, h - step * direction, xi0=xi)
             except (WulffError, SolverError, CenterError):
                 step *= 0.5
                 continue

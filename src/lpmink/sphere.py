@@ -74,6 +74,7 @@ class DirectionGrid:
         self.dim = dim
         self.nodes = nodes
         self.weights = weights
+        self._permutations = {}  # node_permutations' tables, by group bytes
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -95,14 +96,20 @@ class DirectionGrid:
         Row g is ``pi`` with ``nodes[pi[i]] == mats[g] @ nodes[i]`` within
         NODE_MATCH_TOL, matched through the grid's own tree. Raises GridError
         when an image misses the node set or an element does not permute it.
+        The grid matches each group once and keeps the table, read-only and
+        keyed by the exact bytes of ``mats``; a failure is not kept.
         """
-        d, idx = self._tree.query(self.nodes @ np.swapaxes(mats, 1, 2))
-        if d.max() > NODE_MATCH_TOL:
-            raise GridError("node set is not closed under the group: an "
-                            "image misses it by %.2e" % d.max())
-        if np.any(np.sort(idx, axis=1) != np.arange(len(self))):
-            raise GridError("group element does not permute the node set")
-        return idx
+        key = np.asarray(mats, dtype=float).tobytes()
+        if key not in self._permutations:
+            d, idx = self._tree.query(self.nodes @ np.swapaxes(mats, 1, 2))
+            if d.max() > NODE_MATCH_TOL:
+                raise GridError("node set is not closed under the group: an "
+                                "image misses it by %.2e" % d.max())
+            if np.any(np.sort(idx, axis=1) != np.arange(len(self))):
+                raise GridError("group element does not permute the node set")
+            idx.flags.writeable = False
+            self._permutations[key] = idx
+        return self._permutations[key]
 
     def min_node_angle(self):
         """Smallest pairwise angular distance between nodes."""
@@ -192,6 +199,7 @@ def build_grid(n, resolution, symmetry=None):
         Finite group; the returned node set is a union of full group orbits
         (orbit closure with duplicate merging). Invariant descent follows
         a measure's own group (``SphericalMeasure(group=)``), not the grid's.
+        The closure check keeps the group's table (``node_permutations``).
     """
     if n not in (2, 3):
         raise GridError("only dimensions 2 and 3 are supported")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -52,6 +54,13 @@ def dihedral_group(order=4):
     return mats
 
 
+def cube_group():
+    """The 48 symmetries of the cube: the signed permutation matrices."""
+    return [np.diag(signs)[list(perm)]
+            for perm in itertools.permutations(range(3))
+            for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
 @pytest.fixture
 def no_lp(monkeypatch):
     """Make every LP raise: scipy's linprog, which lpmink imports where an
@@ -81,6 +90,28 @@ def built_grids(monkeypatch):
 
     monkeypatch.setattr(DirectionGrid, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def node_matches(monkeypatch):
+    """The group order of every node match made while the test runs.
+
+    A match is a query of a grid's tree with the images of all its nodes
+    under a (k, n, n) group; node_permutations is the one caller that
+    queries with a (k, N, n) array. A match that fails counts too.
+    """
+    from lpmink import sphere
+
+    matches = []
+
+    class CountingTree(sphere.cKDTree):
+        def query(self, x, *args, **kwargs):
+            if np.ndim(x) == 3:
+                matches.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "cKDTree", CountingTree)
+    return matches
 
 
 @pytest.fixture(scope="session")

@@ -642,6 +642,11 @@ _OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308
     ("solve", {"n": 2, "p": 0.5, "measure": {"atoms": _OVERFLOWING_ATOMS}}),
     ("solve", {"n": 2, "p": 0.5, "grid": {"symmetry": [
         [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[1, 0], [0, -1]]]}}),
+    ("identity", {"n": 2, "p": -1.0, "grid": {"symmetry": [
+        [[1, 0], [0, 1]], [[0.5, 0], [0, 1]]]}}),
+    ("solve", {"n": 2.7, "p": 0.5}),
+    ("solve", {"n": 2, "p": 0.5, "grid": {"resolution": 64.9}}),
+    ("solve", {"n": 2, "p": 0.5, "solver": {"stages": True}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import special_ortho_group
 
-from conftest import dihedral_group
+from conftest import cube_group, dihedral_group
 from lpmink.measures import (HypothesisError, MeasureError, SphericalMeasure,
                              _distinct_atoms, _greedy_net, _linear_span,
                              _nearest_center, density_measure,
@@ -620,6 +620,19 @@ def test_on_support_restricts_to_the_positive_masses():
     nodes = sub.grid.nodes
     assert np.allclose(nodes[sub.permutations[1]], nodes @ mirror.T, atol=1e-12)
     assert sub.to_dict() == mu.to_dict()
+
+
+def test_smooth_with_the_cube_group_matches_the_grid_once(node_matches):
+    group = cube_group()
+    g = build_grid(3, 100, symmetry=group)
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    mu = smooth_discrete(dirs, rng.uniform(0.5, 1.5, 6), g, group=group, m=8)
+    # build_grid's closure check made the table that smooth_discrete and
+    # the measure it returns read
+    assert node_matches == [48]
+    assert mu.permutations is g.node_permutations(np.array(group))
 
 
 def test_measure_group_invariance_validation():

@@ -12,7 +12,7 @@ from lpmink.energy import ProfileError, build_profile, energy, optimal_center
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
 from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
-                             smooth_discrete)
+                             smooth_discrete, symmetrize_hemisphere)
 from lpmink import cli, geometry, solver
 from lpmink.solver import (FINISH_TOL, SolveOptions, SolverError, el_residual,
                            evaluate_offsets, minimize_fixed_eps, newton_finish,
@@ -184,6 +184,19 @@ def test_solve_descends_on_the_measure_group_not_the_grid_group():
     M, report = solve(mu, 0.5, SolveOptions(max_iter=300))
     assert report.converged
     assert report.residual_l1 <= 1e-3
+
+
+def test_hemisphere_chain_matches_each_group_once(node_matches):
+    # criterion 07's chain: the grid matches its reflection once, for
+    # build_grid and mu0 alike; the simplex rotation, 2.2e-16 from the
+    # reflection, is a group of its own; the solve's support sub-grid is a
+    # grid of its own
+    grid = build_grid(2, 360, symmetry=[np.eye(2), np.diag([-1.0, 1.0])])
+    mu = density_measure(lambda U: np.where(
+        np.abs(np.arctan2(U[:, 1], U[:, 0])) <= np.pi / 4 + 1e-12, 1.0, 0.0), grid)
+    mu0, _, _, _ = symmetrize_hemisphere(mu)
+    solve(mu0, 0.5)
+    assert node_matches == [2, 2, 2]
 
 
 def test_solve_rejects_closed_hemisphere_support(grid2):

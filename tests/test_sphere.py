@@ -89,6 +89,43 @@ def test_orbit_average_is_projection():
                 assert np.allclose(av[pi], av, atol=1e-12)
 
 
+def test_each_group_gets_its_own_kept_table(node_matches):
+    d4 = np.array(dihedral_group())
+    c2 = d4[[0, 4]]  # the identity and the half turn
+    g = build_grid(2, 256, symmetry=d4)
+    assert node_matches == [8]
+    tables = {}
+    for name, group in (("D4", d4), ("C2", c2)):
+        tables[name] = g.node_permutations(group)
+        fresh = DirectionGrid(2, g.nodes, g.weights).node_permutations(group)
+        assert np.array_equal(tables[name], fresh)
+        # a copy with the same bytes reads the kept table
+        assert g.node_permutations(group.copy()) is tables[name]
+    assert tables["D4"].shape == (8, len(g)) and tables["C2"].shape == (2, len(g))
+    # build_grid matched D4, the two fresh grids D4 and C2, and g itself C2
+    assert node_matches == [8, 8, 2, 2]
+
+
+def test_a_failed_match_is_not_kept(node_matches):
+    # the 64-node circle is closed under the half turn, not under C7
+    g = build_grid(2, 64)
+    th = 2 * np.pi / 7
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    c7 = np.array([np.linalg.matrix_power(rot, k) for k in range(7)])
+    for _ in range(2):
+        with pytest.raises(GridError, match="not closed under the group"):
+            g.node_permutations(c7)
+    assert node_matches == [7, 7]
+
+
+def test_a_kept_table_is_read_only():
+    g = build_grid(2, 64)
+    table = g.node_permutations(np.array([np.eye(2), -np.eye(2)]))
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert np.array_equal(table[0], np.arange(len(g)))
+
+
 def test_build_grid_errors():
     with pytest.raises(GridError):
         build_grid(4, 100)
