@@ -39,17 +39,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent problem configuration."""
 
 
-DENSITIES = {}
-
-
-def _density(name):
-    def wrap(fn):
-        DENSITIES[name] = fn
-        return fn
-    return wrap
-
-
-@_density("const")
 def _const_density(params, n):
     c = _require(params, "c", float, 1.0)
     if c <= 0:
@@ -57,7 +46,6 @@ def _const_density(params, n):
     return lambda U: np.full(len(np.atleast_2d(U)), c)
 
 
-@_density("dipole")
 def _dipole_density(params, n):
     a = _require(params, "a", float, 0.5)
     if not -1 < a < 1:
@@ -65,7 +53,6 @@ def _dipole_density(params, n):
     return lambda U: 1.0 + a * np.atleast_2d(U)[:, 0]
 
 
-@_density("arc")
 def _arc_density(params, n):
     if n != 2:
         raise ConfigError("arc density is only defined for n = 2")
@@ -81,7 +68,6 @@ def _arc_density(params, n):
     return f
 
 
-@_density("bump")
 def _bump_density(params, n):
     base = _require(params, "base", float, 1.0)
     amp = _require(params, "amplitude", float, 1.0)
@@ -95,6 +81,10 @@ def _bump_density(params, n):
         return base + amp * np.exp(-((ang / width) ** 2))
 
     return f
+
+
+DENSITIES = {"const": _const_density, "dipole": _dipole_density,
+             "arc": _arc_density, "bump": _bump_density}
 
 
 def _read_json(path, what):
@@ -412,7 +402,10 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = load_config(args)
-        outdir = Path(cfg.get("output_dir", "."))
+        outdir = cfg.get("output_dir", ".")
+        if not isinstance(outdir, str):
+            raise ConfigError("field 'output_dir' must be a string")
+        outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir)
     except (ConfigError, GridError, MeasureError, GeometryError,

@@ -193,11 +193,11 @@ def newton_finish(measure, p, h):
 
         J = (1-p) I + diag(1/S) (dS/dh) diag(h),
 
-    with dS/dh from ``facet_jacobian`` at n = 3. At n = 2 the step solves
-    the equivalent symmetric system B y = -S F, ds = y / h, with
-    B = dS/dh + (1-p) diag(S/h), as a band of half-width 2 built from the
-    normals (see _newton_step). ``h`` must be positive, so the origin is
-    the interior hint of the start's Wulff shape. When
+    with dS/dh from ``facet_jacobian``, solved as J at n = 3. At n = 2 the
+    step solves the equivalent symmetric system B y = -S F, ds = y / h,
+    with B = dS/dh + (1-p) diag(S/h), as a band of half-width 2 built from
+    the normals (see _newton_step). ``h`` must be positive, so the origin
+    is the interior hint of the start's Wulff shape. When
     wulff_shape refuses that hint, or some facet of the shape is inactive,
     every offset first gains FINISH_MARGIN times their mean, which adds a
     circumscribed polytope and makes every facet active. A step is halved
@@ -275,7 +275,8 @@ def _newton_step(body, p, F):
     polygon's angular order, with 1 / sin(theta) beside the diagonal and
     -(cot(theta_-) + cot(theta_+)) + (1-p) S / h on it; taking that cycle
     as 0, m-1, 1, m-2, ... makes it a band of half-width 2, solved by
-    LAPACK's banded LU.
+    LAPACK's banded LU. n = 3 stays on J: B's rounding loses the N = 500
+    dipole's converging finish attempt at p = 0.99.
     """
     if body.dim == 3:
         J = facet_jacobian(body)

@@ -167,22 +167,21 @@ def validate_group(group, dim):
 
 
 def _orbit_closure(nodes, mats):
-    """Close a node set under a group, merging chord-distance duplicates.
+    """The nodes, then their images under a group, less duplicates, in one pass.
 
+    Images within ORBIT_MERGE_TOL of a node are dropped, and among the rest
+    the first of each cluster is kept. When ``mats`` is a group the result
+    is closed, since g (h x) = (g h) x; build_grid's node match checks it.
     Angular and chord tolerances agree to leading order at the 1e-9 scale
     (cosine comparisons are useless there: cos(1e-9) rounds to 1.0).
     """
-    kept = np.asarray(nodes, dtype=float)
-    while True:
-        images = np.vstack([kept @ A.T for A in mats])
-        fresh = images[cKDTree(kept).query(images)[0] > ORBIT_MERGE_TOL]
-        if not len(fresh):
-            return kept
-        # dedup the new points among themselves, keeping first occurrences
-        pairs = cKDTree(fresh).query_pairs(ORBIT_MERGE_TOL, output_type="ndarray")
-        keep = np.ones(len(fresh), dtype=bool)
-        keep[pairs.max(axis=1)] = False
-        kept = np.vstack([kept, fresh[keep]])
+    nodes = np.asarray(nodes, dtype=float)
+    images = np.vstack([nodes @ A.T for A in mats])
+    fresh = images[cKDTree(nodes).query(images)[0] > ORBIT_MERGE_TOL]
+    pairs = cKDTree(fresh).query_pairs(ORBIT_MERGE_TOL, output_type="ndarray")
+    keep = np.ones(len(fresh), dtype=bool)
+    keep[pairs.max(axis=1)] = False
+    return np.vstack([nodes, fresh[keep]])
 
 
 def build_grid(n, resolution, symmetry=None):
@@ -196,10 +195,11 @@ def build_grid(n, resolution, symmetry=None):
         Node count: equally spaced angles for n=2, a Fibonacci lattice for
         n=3. Equal weights summing to the sphere area in both cases.
     symmetry : sequence of distinct (n, n) orthogonal matrices, optional
-        Finite group; the returned node set is a union of full group orbits
-        (orbit closure with duplicate merging). Invariant descent follows
-        a measure's own group (``SphericalMeasure(group=)``), not the grid's.
-        The closure check keeps the group's table (``node_permutations``).
+        Finite group; the nodes gain their images (``_orbit_closure``), a
+        union of full orbits. The group's match to them (``node_permutations``)
+        checks that closure and keeps the table; a group only within GROUP_TOL
+        fails it. Invariant descent follows a measure's own group
+        (``SphericalMeasure(group=)``), not the grid's.
     """
     if n not in (2, 3):
         raise GridError("only dimensions 2 and 3 are supported")
@@ -214,6 +214,10 @@ def build_grid(n, resolution, symmetry=None):
         return DirectionGrid(n, nodes, weights)
     mats = validate_group(symmetry, n)
     nodes = _orbit_closure(nodes, mats)
-    grid = DirectionGrid(n, nodes, np.full(len(nodes), sphere_area(n) / len(nodes)))
-    grid.node_permutations(mats)  # raises unless the closure holds
+    try:
+        grid = DirectionGrid(n, nodes, np.full(len(nodes), sphere_area(n) / len(nodes)))
+        grid.node_permutations(mats)
+    except GridError as exc:
+        raise GridError("the symmetry group does not close the grid (give its "
+                        "matrices to full precision): %s" % exc) from exc
     return grid

@@ -647,6 +647,10 @@ _OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308
     ("solve", {"n": 2.7, "p": 0.5}),
     ("solve", {"n": 2, "p": 0.5, "grid": {"resolution": 64.9}}),
     ("solve", {"n": 2, "p": 0.5, "solver": {"stages": True}}),
+    # C8 typed to 7 digits: a group only within GROUP_TOL
+    ("check", {"n": 2, "grid": {"symmetry": [
+        np.round([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], 7).tolist()
+        for t in np.pi / 4 * np.arange(8)]}}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):
@@ -676,6 +680,19 @@ def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypat
                                       "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output_dir", [5, None, [1], True])
+def test_a_non_string_output_dir_exits_1_with_one_error_line(tmp_path, capsys,
+                                                              monkeypatch, output_dir):
+    # no --output-dir flag, which would override the field
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"n": 2, "output_dir": output_dir,
+                                            "measure": {"density": "const"}}))
+    assert run_cli(["check", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: field 'output_dir' must be a string\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 _NODES16 = sphere.build_grid(2, 16).nodes

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import dihedral_group
+from conftest import cube_group, dihedral_group
+from lpmink import sphere
 from lpmink.measures import SphericalMeasure
-from lpmink.sphere import (DirectionGrid, GridError, build_grid, sphere_area,
-                           unit_ball_volume)
+from lpmink.sphere import (ORBIT_MERGE_TOL, DirectionGrid, GridError, build_grid,
+                           sphere_area, unit_ball_volume)
 
 
 def test_equal_angle_grid_four_nodes():
@@ -124,6 +127,73 @@ def test_a_kept_table_is_read_only():
     with pytest.raises(ValueError):
         table[0, 0] = 1
     assert np.array_equal(table[0], np.arange(len(g)))
+
+
+def _two_pass_closure(nodes, mats):
+    """The reference closure: add fresh images until a pass finds none, so
+    an exact group takes a second pass that adds nothing."""
+    kept = np.asarray(nodes, dtype=float)
+    while True:
+        images = np.vstack([kept @ A.T for A in mats])
+        fresh = images[cKDTree(kept).query(images)[0] > ORBIT_MERGE_TOL]
+        if not len(fresh):
+            return kept
+        pairs = cKDTree(fresh).query_pairs(ORBIT_MERGE_TOL, output_type="ndarray")
+        keep = np.ones(len(fresh), dtype=bool)
+        keep[pairs.max(axis=1)] = False
+        kept = np.vstack([kept, fresh[keep]])
+
+
+def _cube_rotations():
+    return [A for A in cube_group() if np.linalg.det(A) > 0]
+
+
+@pytest.mark.parametrize("n,resolution,group", [
+    (2, 64, dihedral_group(4)),
+    (2, 64, dihedral_group(3)[::2]),
+    (2, 64, dihedral_group(5)[::2]),
+    (2, 64, dihedral_group(6)[::2]),
+    (3, 100, _cube_rotations()),
+    (3, 500, cube_group()),
+], ids=["D4", "C3", "C5", "C6", "cube24", "octahedral48"])
+def test_one_pass_closure_matches_the_two_pass_loop(n, resolution, group):
+    g = build_grid(n, resolution, symmetry=group)
+    reference = _two_pass_closure(build_grid(n, resolution).nodes, np.array(group))
+    assert g.nodes.tobytes() == reference.tobytes()
+
+
+def test_a_symmetric_grid_queries_all_images_once(monkeypatch):
+    # a query of k N points is a match of all the closed grid's images
+    sizes = []
+
+    class CountingTree(sphere.cKDTree):
+        def query(self, x, *args, **kwargs):
+            sizes.append(np.size(x) // np.shape(x)[-1])
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "cKDTree", CountingTree)
+    group = _cube_rotations()
+    g = build_grid(3, 100, symmetry=group)
+    assert len(g) > 100
+    assert sizes.count(len(group) * len(g)) == 1
+
+
+def _rotations(angle, k):
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return [np.linalg.matrix_power(rot, j) for j in range(k)]
+
+
+@pytest.mark.parametrize("group", [
+    _rotations(np.pi / 2 + 2e-8, 4),
+    # C8 typed to 7 digits: orthogonal, and closed, only within GROUP_TOL
+    [np.round(A, 7) for A in _rotations(np.pi / 4, 8)],
+], ids=["C4-off-by-2e-8", "C8-to-7-digits"])
+def test_a_group_closed_only_within_group_tol_fails_at_once(group):
+    sphere.validate_group(group, 2)
+    start = time.perf_counter()
+    with pytest.raises(GridError, match="symmetry group does not close the grid"):
+        build_grid(2, 64, symmetry=group)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_build_grid_errors():
