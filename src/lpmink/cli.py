@@ -135,26 +135,32 @@ def load_config(args):
     return cfg
 
 
-def _require(cfg, key, kind=None, default=None):
-    """cfg[key], converted by ``kind``; required unless a default is given."""
+def _require(cfg, key, kind, default=None):
+    """cfg[key], read by its JSON type; required unless a default is given.
+
+    ``kind`` is str, float (a number; type() keeps true and false out), int
+    (a whole number, so 64.0 is 64) or a ``_vector``.
+    """
     val = cfg.get(key, default)
     if val is None:
         raise ConfigError("missing config field '%s'" % key)
     try:
-        if kind is int and (isinstance(val, bool) or not float(val).is_integer()):
-            raise ValueError("not a whole number")
-        return val if kind is None else kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if (kind is str and type(val) is not str
+                or kind in (int, float) and type(val) not in (int, float)
+                or kind is int and not float(val).is_integer()):
+            raise ValueError("not a JSON %s" % kind.__name__)
+        return kind(val)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError("field '%s' has the wrong type" % key) from exc
 
 
 def _vector(n):
-    """A ``_require`` kind: a float array of shape (n,)."""
+    """A ``_require`` kind: a list of n numbers, as a float array."""
     def kind(val):
-        vec = np.asarray(val, dtype=float)
-        if vec.shape != (n,):
-            raise ValueError("expected %d numbers" % n)
-        return vec
+        if type(val) is not list or len(val) != n or not all(
+                type(x) in (int, float) for x in val):
+            raise ValueError("expected a list of %d numbers" % n)
+        return np.array(val, dtype=float)
     return kind
 
 
@@ -276,8 +282,7 @@ def cmd_verify(cfg, outdir):
     p = _require(cfg, "p", float)
     if not (-n < p < 1):
         raise ConfigError("verify requires p in (-n, 1)")
-    body_file = _require(cfg, "body_file", str)
-    data = _read_json(body_file, "body file")
+    data = _read_json(_require(cfg, "body_file", str), "body file")
     try:
         normals = np.asarray(data["normals"], dtype=float)
         offsets = np.asarray(data["offsets"], dtype=float)
@@ -405,9 +410,11 @@ def main(argv=None):
         outdir = cfg.get("output_dir", ".")
         if not isinstance(outdir, str):
             raise ConfigError("field 'output_dir' must be a string")
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, outdir)
+        try:
+            Path(outdir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot make output directory %s: %s" % (outdir, exc)) from exc
+        return COMMANDS[args.command](cfg, Path(outdir))
     except (ConfigError, GridError, MeasureError, GeometryError,
             IdentityError, ProfileError, SolverError) as exc:
         if isinstance(exc, HypothesisError):

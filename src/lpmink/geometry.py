@@ -8,6 +8,7 @@ body: each dual facet is a vertex, each dual hull vertex is an active
 constraint (a facet), and neighbouring dual facets span the edges. Facet
 areas, volume, centroid and the ridges where two facets meet are read off
 this structure; active constraints keep their offsets as support values.
+The ridges are the one face structure that facet_jacobian and body_to_off read.
 
 A polygon whose every constraint is active needs no hull: sorted by
 angle, consecutive lines meet in its vertices (polygon_all_active). The
@@ -304,12 +305,9 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     if np.max(dual_hull.equations[:, -1]) > -1e-12:
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
-    if dim == 2:
-        vertices, facet_areas, volume, centroid, ridges = _polygon(
-            normals, shifted, dual_hull.vertices)
-    else:
-        vertices, facet_areas, volume, centroid, ridges = _polytope_from_dual(
-            shifted, dual_hull)
+    vertices, facet_areas, volume, centroid, ridges = (
+        _polygon(normals, shifted, dual_hull.vertices) if dim == 2
+        else _polytope_from_dual(shifted, dual_hull))
     if len(vertices) <= dim:
         raise WulffError("degenerate intersection (fewer than %d vertices)"
                          % (dim + 1))
@@ -444,17 +442,22 @@ def santalo_quadrature(body, grid):
 
 
 def body_to_off(body):
-    """OFF mesh text for a 3-dimensional body (triangulated facets)."""
-    if body.dim != 3:
-        raise GeometryError("OFF export is only available for n = 3")
-    hull = ConvexHull(body.vertices)
-    lines = ["OFF", "%d %d 0" % (len(body.vertices), len(hull.simplices))]
-    for v in body.vertices:
-        lines.append("%.17g %.17g %.17g" % tuple(v))
-    for k, tri in enumerate(hull.simplices):
-        a, b, c = body.vertices[tri]
-        # orient triangles outward
-        if np.dot(np.cross(b - a, c - a), hull.equations[k, :3]) < 0:
-            tri = tri[::-1]
-        lines.append("3 %d %d %d" % tuple(tri))
-    return "\n".join(lines) + "\n"
+    """OFF mesh text for a 3-dimensional body, read off its recorded ridges.
+
+    Each facet is fanned from its lowest-index vertex over its own edges, and
+    each triangle faces along the facet's outer normal: 2V - 4 triangles in all.
+    """
+    if body.dim != 3 or body.ridges is None:
+        raise GeometryError("OFF export needs a 3-dimensional body built by wulff_shape")
+    # every ridge is an edge of both its facets
+    facet, (a, b) = body.ridges[0].T.ravel(), np.tile(body.ridges[1].T, 2)
+    apex = np.full(len(body.normals), len(body.vertices))
+    np.minimum.at(apex, facet, np.minimum(a, b))
+    tri = np.column_stack([apex[facet], a, b])
+    x, y, z = body.vertices[tri.T]
+    flip = np.einsum("ij,ij->i", np.cross(y - x, z - x), body.normals[facet]) < 0
+    tri[flip] = tri[flip][:, [0, 2, 1]]
+    tri = tri[(a != apex[facet]) & (b != apex[facet])]
+    return "\n".join(["OFF", "%d %d 0" % (len(body.vertices), len(tri))]
+                     + ["%.17g %.17g %.17g" % tuple(v) for v in body.vertices.tolist()]
+                     + ["3 %d %d %d" % tuple(t) for t in tri.tolist()]) + "\n"

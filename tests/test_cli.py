@@ -651,6 +651,15 @@ _OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308
     ("check", {"n": 2, "grid": {"symmetry": [
         np.round([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], 7).tolist()
         for t in np.pi / 4 * np.arange(8)]}}),
+    # values of another JSON type, which are not converted: the file "5"
+    # holds a body that verifies
+    ("verify", {"n": 2, "p": 0.5, "grid": {"resolution": 16}, "body_file": 5}),
+    ("check", {"n": 2, "measure": {"density": ["dipole"]}}),
+    ("solve", {"n": 2, "p": "0.5"}),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"density": "const", "params": {"c": True}}}),
+    ("check", {"n": "2"}),
+    ("identity", {"n": 2, "p": -1.0, "ellipse": [1.5, "1"]}),
+    ("identity", {"n": 2, "p": -1.0, "center": [0.1, False]}),
 ])
 def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                       command, cfg):
@@ -674,6 +683,7 @@ def test_malformed_values_exit_1_with_one_error_line(tmp_path, capsys, monkeypat
     for name, data in [("five", 5), ("null", None), ("string", "atoms"),
                        ("self", {"file": "self.json"})]:
         Path(name + ".json").write_text(json.dumps(data))
+    Path("5").write_text(json.dumps({"normals": _NODES16.tolist(), "offsets": [1.0] * 16}))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": {"density": "const"}, **cfg}))
     assert run_cli(command.split() + ["--config", str(cfg_path),
@@ -693,6 +703,19 @@ def test_a_non_string_output_dir_exits_1_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "error: field 'output_dir' must be a string\n"
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("output_dir", ["a-file", "a-file/sub"])
+def test_an_output_dir_that_cannot_be_made_exits_1_with_one_error_line(
+        tmp_path, capsys, monkeypatch, output_dir):
+    # the path names a file, or runs through one
+    monkeypatch.chdir(tmp_path)
+    Path("a-file").write_text("")
+    assert run_cli(["check", "--n", "2", "--c", "1", "--output-dir", output_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make output directory %s: " % output_dir)
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["a-file"]
 
 
 _NODES16 = sphere.build_grid(2, 16).nodes

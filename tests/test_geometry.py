@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from conftest import random_polygon, random_polytope
+from conftest import cube_group, random_polygon, random_polytope
+from lpmink import geometry
 from lpmink.geometry import (Body, GeometryError, WulffError, body_stats,
                              body_to_off, facet_jacobian,
                              lp_surface_area_measure, polygon_all_active,
                              santalo_quadrature, wulff_shape)
+from lpmink.measures import density_measure
+from lpmink.solver import solve
 from lpmink.sphere import build_grid, unit_ball_volume
 
 SQUARE_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -403,6 +406,102 @@ def test_off_export_cube():
     assert lines[0] == "OFF"
     nv, nf, _ = map(int, lines[1].split())
     assert nv == 8 and nf == 12
+
+
+def _square_pyramid():
+    # the apex meets four facets
+    normals = np.array([[0, 0, -1], [1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+                       dtype=float)
+    return wulff_shape(3, normals / np.linalg.norm(normals, axis=1)[:, None], np.ones(5))
+
+
+@pytest.fixture(scope="module")
+def off_meshes(grid3):
+    """(name, body, vertices, triangles) parsed from the OFF text of 200
+    random polytopes, the cube, the octahedron, a square pyramid, the
+    solved N = 500 dipole and a solve on a grid closed under the cube group."""
+    rng = np.random.default_rng(0)
+    bodies = [("random%d" % k, random_polytope(rng, k=int(rng.integers(6, 80))))
+              for k in range(200)]
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    bodies += [("cube", wulff_shape(3, CUBE_NORMALS, np.ones(6))),
+               ("octahedron", wulff_shape(3, signs / np.sqrt(3), np.ones(8))),
+               ("pyramid", _square_pyramid())]
+    cube_grid = build_grid(3, 100, symmetry=cube_group())
+    for name, grid, density in [
+            ("dipole", grid3, lambda U: 1 + 0.3 * U[:, 0]),
+            ("cube-group", cube_grid, lambda U: 1 + 0.5 * np.sum(U ** 4, axis=1))]:
+        body, report = solve(density_measure(density, grid), 0.5)
+        assert report.converged
+        bodies.append((name, body))
+    meshes = []
+    for name, body in bodies:
+        lines = body_to_off(body).splitlines()
+        nv, nf, _ = map(int, lines[1].split())
+        vertices = np.array([line.split() for line in lines[2:2 + nv]], dtype=float)
+        faces = np.array([line.split() for line in lines[2 + nv:]], dtype=int)
+        assert lines[0] == "OFF" and len(faces) == nf and np.all(faces[:, 0] == 3)
+        meshes.append((name, body, vertices, faces[:, 1:]))
+    return meshes
+
+
+def test_off_mesh_is_closed_and_consistently_oriented(off_meshes):
+    # every directed edge appears once, and so does its reverse
+    for name, body, vertices, tri in off_meshes:
+        a, b = np.concatenate([tri, np.roll(tri, -1, axis=1)]).reshape(2, -1)
+        edges, reverse = a * len(vertices) + b, b * len(vertices) + a
+        assert len(np.unique(edges)) == len(edges), name
+        assert np.all(np.isin(reverse, edges)), name
+
+
+def test_off_mesh_has_2v_minus_4_triangles_and_the_body_volume(off_meshes):
+    for name, body, vertices, tri in off_meshes:
+        # the vertex lines round-trip the body's vertices bit for bit
+        assert np.array_equal(vertices, body.vertices), name
+        assert len(tri) == 2 * len(vertices) - 4, name
+        x, y, z = vertices[tri.T]
+        volume = np.einsum("ij,ij->i", x, np.cross(y, z)).sum() / 6.0
+        assert volume == pytest.approx(body.volume, rel=1e-11), name
+
+
+def test_off_triangles_lie_in_their_facets_facing_out(off_meshes):
+    for name, body, vertices, tri in off_meshes:
+        size = np.linalg.norm(vertices - body.centroid, axis=1).max()
+        active = np.flatnonzero(body.facet_areas > 0)
+        normals, h = body.normals[active], body.support_values[active]
+        x, y, z = vertices[tri.T]
+        # a triangle's centroid is inside one facet, whose plane it touches
+        facet = np.concatenate([
+            np.argmin(h - c @ normals.T, axis=1)
+            for c in np.array_split((x + y + z) / 3.0, len(tri) // 500 + 1)])
+        for v in (x, y, z):
+            gap = np.abs(np.einsum("ij,ij->i", v, normals[facet]) - h[facet])
+            assert gap.max() <= 1e-12 * size, name
+        assert np.all(np.einsum("ij,ij->i", np.cross(y - x, z - x),
+                                normals[facet]) > 0), name
+
+
+def test_off_export_needs_recorded_ridges():
+    C = wulff_shape(3, CUBE_NORMALS, np.ones(6))
+    bare = Body(3, C.normals, C.offsets, C.vertices, C.facet_areas, C.volume,
+                C.centroid, C.support_values)
+    with pytest.raises(GeometryError):
+        body_to_off(bare)
+    with pytest.raises(GeometryError):
+        body_to_off(wulff_shape(2, SQUARE_NORMALS, np.ones(4)))
+
+
+def test_off_export_builds_no_hull(monkeypatch):
+    bodies = [wulff_shape(3, CUBE_NORMALS, np.ones(6)), _square_pyramid(),
+              random_polytope(np.random.default_rng(5))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("body_to_off built a hull")
+
+    monkeypatch.setattr(geometry, "ConvexHull", refuse)
+    for body in bodies:
+        header = body_to_off(body).splitlines()[1]
+        assert header == "%d %d 0" % (len(body.vertices), 2 * len(body.vertices) - 4)
 
 
 def test_scaled_and_translated_consistency():

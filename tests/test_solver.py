@@ -444,6 +444,19 @@ def test_solve_measure_scaling_law(grid2, grid3, n, p):
     assert np.max(np.abs(ratio - 1.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("c", [1.0, pytest.param(1e-9, marks=pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the finish refuses the origin as its interior point: the margin "
+           "1e-6 max(1, max|h|) stops shrinking below unit size, and max h "
+           "is about 1.5e-6 here"))])
+def test_finish_solves_a_dipole_of_small_mass(grid2, c):
+    # by the scaling law the finish from the origin works at every mass c;
+    # it converges down to c = 1e-8 and fails from c = 1e-9
+    mu = density_measure(lambda U: c * (1 + 0.4 * U[:, 0]), grid2)
+    M, report = solve(mu, 0.5, SolveOptions(max_iter=0))
+    assert report.converged and report.residual_l1 <= 1e-9
+
+
 @pytest.mark.parametrize("n,a,p", [(2, 0.4, -1.0), (3, 0.3, 0.5)])
 def test_dipole_solve_runs_no_lp(grid2, grid3, no_lp, n, a, p):
     # the pre-flight is certified, the descent starts at the origin and
