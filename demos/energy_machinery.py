@@ -32,9 +32,10 @@ ang = np.array([0.4, 2.3, 4.3])
 triangle = wulff_shape(2, np.column_stack([np.cos(ang), np.sin(ang)]),
                        np.array([1.0, 0.7, 1.2]))
 prof = build_profile(0.5, 2, 0.05)
-xi, grad_norm, hess = optimal_center(triangle, mu, prof)
+xi, value, grad_norm, hess = optimal_center(triangle, mu, prof)
 print("triangle centroid:      %s" % np.round(triangle.centroid, 6))
 print("optimal center xi(K):   %s" % np.round(xi, 6))
+print("energy Phi_eps(K, xi):  %.6f" % value)
 print("gradient norm at xi:    %.1e" % grad_norm)
 print("Hessian eigenvalues:    %s (negative definite)"
       % np.round(np.linalg.eigvalsh(hess), 3))

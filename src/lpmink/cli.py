@@ -69,11 +69,17 @@ def _arc_density(params, n):
 
 
 def _bump_density(params, n):
+    """base + amplitude exp(-(angle to the direction center / width)^2)."""
     base = _require(params, "base", float, 1.0)
     amp = _require(params, "amplitude", float, 1.0)
     width = _require(params, "width", float, 0.5)
     center = _require(params, "center", _vector(n), [1.0] + [0.0] * (n - 1))
-    center = center / np.linalg.norm(center)
+    if not width > 0:
+        raise ConfigError("bump density requires width > 0")
+    norm = np.linalg.norm(center)
+    if not 0 < norm < np.inf:
+        raise ConfigError("bump density requires a center of finite nonzero norm")
+    center = center / norm
 
     def f(U):
         U = np.atleast_2d(U)

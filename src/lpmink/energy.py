@@ -89,7 +89,7 @@ def _feasible_two_piece(a, b, va, vb, ma, mb):
     return a + h, 0.5 * (v_lo + v_hi), mc
 
 
-#: the piece above 3*eps, by derivative order
+#: phi and its derivatives by order: at p above 3*eps, at -q below eps
 _RAW = (_phi_raw, _dphi_raw, _d2phi_raw)
 
 
@@ -111,15 +111,6 @@ class EnergyProfile:
     def is_unmodified(self):
         return not self.pieces
 
-    def _low(self, order, s):
-        """The order-th derivative of -s^(-q), the piece below eps."""
-        q = self.q
-        if order == 0:
-            return -(s ** (-q))
-        if order == 1:
-            return q * s ** (-q - 1.0)
-        return -q * (q + 1.0) * s ** (-q - 2.0)
-
     def _piecewise(self, t, orders):
         """phi_eps^(k)(t) for each k in ``orders``, from one set of piece masks."""
         t = np.asarray(t, dtype=float)
@@ -130,14 +121,14 @@ class EnergyProfile:
         outs = [np.empty_like(t) for _ in orders]
         if self.is_unmodified:
             for out, k in zip(outs, orders):
-                out[:] = self._low(k, t)
+                out[:] = _RAW[k](-self.q, t)
         else:
             lo = t <= self.eps
             hi = t >= 3.0 * self.eps
             mid = ~(lo | hi)
             t_lo, t_hi = t[lo], t[hi]
             for out, k in zip(outs, orders):
-                out[lo] = self._low(k, t_lo)
+                out[lo] = _RAW[k](-self.q, t_lo)
                 out[hi] = _RAW[k](self.p, t_hi)
             if np.any(mid):
                 tm = t[mid]
@@ -194,7 +185,7 @@ def _validate_profile(profile):
                         np.linspace(0.5 * eps, 4.0 * eps, 2000)])
     t = t[(t > eps) & (t < 3.0 * eps)]
     f, dp, d2p = profile.jet(t)
-    floor = -(t ** (-q))
+    floor = _phi_raw(-q, t)
     if np.any(dp <= 0) or np.any(d2p >= 0) or np.any(f < floor + 1e-9 * floor):
         raise ProfileError("the bridge at eps = %.3g is not increasing, concave "
                            "and above -t^(-q)" % eps)
@@ -221,7 +212,7 @@ def build_profile(p, n, eps):
         # fallback, and validation rejects them
         a, b = np.float64(eps), 3.0 * np.float64(eps)
         with np.errstate(all="ignore"):
-            va, ma = -(a ** -q), q * a ** (-q - 1.0)
+            va, ma = _phi_raw(-q, a), _dphi_raw(-q, a)
             vb, mb = _phi_raw(p, b), _dphi_raw(p, b)
             single = _Cubic(a, b, va, vb, ma, mb)
             pieces = [single]
@@ -257,21 +248,23 @@ def energy(body, xi, measure, profile):
 def optimal_center(body, measure, profile, x0=None):
     """Unique interior maximizer of xi -> Phi_eps(K, xi) by damped Newton.
 
-    Returns (xi, grad_norm, hessian); the gradient residual satisfies
-    grad_norm <= CENTER_TOL * total mass, and the Hessian is the
-    negative-definite matrix A = sum_a u_a u_a^T phi_eps''(t_a) mu_a at
-    the solution. The iteration starts from the Chebyshev center unless a
-    strictly interior warm start x0 is supplied. Each Newton step is
-    capped short of the boundary and halved until it is accepted, at
-    first when the value rises, or holds within fp noise while the
-    gradient norm halves. When no halving is accepted, reaching the
+    Returns (xi, value, grad_norm, hessian). ``value`` is the maximum
+    Phi_eps(K, xi) against the measure's atoms, from the profile pass that
+    accepted xi, and equals ``energy(body, xi, measure, profile)``; the
+    gradient residual satisfies grad_norm <= CENTER_TOL * total mass, and
+    the Hessian is the negative-definite matrix A = sum_a u_a u_a^T
+    phi_eps''(t_a) mu_a at the solution. The iteration starts from the
+    Chebyshev center unless a strictly interior warm start x0 is supplied.
+    Each Newton step is capped short of the boundary and halved until it is
+    accepted, at first when the value rises, or holds within fp noise while
+    the gradient norm halves. When no halving is accepted, reaching the
     machine floor |A| * spacing(xi) counts as convergence: where the
     barrier curvature is large, float64 cannot express gradients below it
     (the returned grad_norm is then the attainable one). Short of that
-    floor the value has stopped resolving the progress, as at a bridge
-    knot of a nearly flat profile, and from then on a step is accepted
-    when it shrinks the gradient norm; the energy is concave, so these
-    steps still converge. CenterError is raised after CENTER_STEPS.
+    floor the value has stopped resolving the progress, as at a bridge knot
+    of a nearly flat profile, and from then on a step is accepted when it
+    shrinks the gradient norm; the energy is concave, so these steps still
+    converge. CenterError is raised after CENTER_STEPS.
     """
     masses = measure.masses
     total = float(masses.sum())
@@ -295,7 +288,7 @@ def optimal_center(body, measure, profile, x0=None):
     for _ in range(CENTER_STEPS):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= CENTER_TOL * total:
-            return xi, gnorm, A
+            return xi, fx, gnorm, A
         if not np.all(np.isfinite(A)):
             # phi_eps'' overflows on a body far below the eps scale
             raise CenterError("the Hessian of the center energy is not finite")
@@ -331,7 +324,7 @@ def optimal_center(body, measure, profile, x0=None):
             floor = (float(np.linalg.norm(A, 2))
                      * (1.0 + float(np.linalg.norm(xi))) * 1e-15)
             if gnorm <= floor:
-                return xi, gnorm, A
+                return xi, fx, gnorm, A
             if not by_value:
                 raise CenterError("optimal center did not converge within machine "
                                   "limits (grad %.2e, floor %.2e)" % (gnorm, floor))

@@ -15,9 +15,6 @@ import numpy as np
 
 from lpmink.sphere import unit_ball_volume
 
-#: seed and relative tolerance of ellipsoid_model's finite-difference check
-_CROSSCHECK_SEED = 20240817
-_CROSSCHECK_TOL = 1e-6
 
 class IdentityError(ValueError):
     """Invalid model body or identity parameters."""
@@ -111,36 +108,17 @@ class SmoothBody:
                 + h[..., None] ** (1.0 - p) * self.grad_ftilde(xi))
 
 
-def _crosscheck_gradients(body):
-    """Finite-difference validation of the closed-form derivatives."""
-    rng = np.random.default_rng(_CROSSCHECK_SEED)
-    xi = rng.normal(size=(16, body.dim))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    xi *= rng.uniform(0.5, 2.0, size=(16, 1))
-    d = 1e-6
-    for p in (-1.0, -body.dim):
-        fd = np.empty((16, body.dim))
-        for j in range(body.dim):
-            e = np.zeros(body.dim)
-            e[j] = d
-            fd[:, j] = (body.f_p(xi + e, p) - body.f_p(xi - e, p)) / (2 * d)
-        closed = body.grad_f_p(xi, p)
-        scale = 1.0 + np.max(np.abs(closed))
-        if np.max(np.abs(fd - closed)) > _CROSSCHECK_TOL * scale:
-            raise IdentityError("closed-form grad f_p fails the finite-difference check")
-
-
 def ellipsoid_model(semiaxes, center=None):
-    """Closed-form SmoothBody for an ellipsoid, derivative-checked at build.
+    """Closed-form SmoothBody for an ellipsoid in dimension 2 or 3.
 
     For an ellipsoid the curvature function is f_tilde(u) =
-    (prod a_i^2) h(u)^(-n-1); the hard-coded gradient formulas are verified
-    against central finite differences before the model is returned.
+    (prod a_i^2) h(u)^(-n-1), so every derivative the identities need is
+    a fixed formula of the semi-axes and the center; the test suite checks
+    those formulas against central differences.
     """
     body = SmoothBody(semiaxes, center=center)
     if body.dim not in (2, 3):
         raise IdentityError("only dimensions 2 and 3 are supported")
-    _crosscheck_gradients(body)
     return body
 
 

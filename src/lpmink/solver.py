@@ -135,23 +135,27 @@ def el_residual(body, xi, measure, profile):
     return r, lambda_eps
 
 
+def _score(body, measure, profile, x0):
+    """(xi, Phi_eps(body, xi), r, lambda_eps) at the optimal center from x0."""
+    xi, energy, _, _ = optimal_center(body, measure, profile, x0=x0)
+    r, lambda_eps = el_residual(body, xi, measure, profile)
+    return xi, energy, r, lambda_eps
+
+
 def evaluate_offsets(measure, profile, h, xi0=None):
     """Build the volume-normalized Wulff shape at offsets h and score it.
 
-    Returns (body, xi, energy, r, lambda_eps) where the body has volume one,
-    xi is its optimal center, energy is Phi_eps(body, xi), and (r,
-    lambda_eps) are the Euler-Lagrange data at the iterate. The body is not
-    validated: minimize_fixed_eps validates the one it returns.
+    Returns (body, xi, energy, r, lambda_eps) where the body has volume one
+    and the rest is its _score: xi its optimal center, energy
+    Phi_eps(body, xi) as optimal_center evaluated it, and (r, lambda_eps)
+    the Euler-Lagrange data at the iterate. The body is not validated:
+    minimize_fixed_eps validates the one it returns.
     """
     grid = measure.grid
     raw = wulff_shape(grid.dim, grid.nodes, np.asarray(h, dtype=float),
                       validate=False, interior_hint=xi0)
     body = raw.scaled(raw.volume ** (-1.0 / grid.dim))
-    xi, _, _ = optimal_center(body, measure, profile, x0=xi0)
-    t = body.support_values - body.normals @ xi
-    energy = float(np.sum(profile.phi(t) * measure.masses))
-    r, lambda_eps = el_residual(body, xi, measure, profile)
-    return body, xi, energy, r, lambda_eps
+    return (body, *_score(body, measure, profile, xi0))
 
 
 def _multiplier_scale(lambda0, p, n):
@@ -551,18 +555,15 @@ def solve(measure, p, opts=None):
 def _finish_record(body, measure, profile):
     """StageRecord of a successful finish; ``body`` is its volume-one body.
 
-    The Euler-Lagrange data are recomputed at the optimal center for
-    ``profile``, the schedule's final one; the record is stationary when
-    max |r| <= EL_TOL lambda_eps, as for a descent stage.
+    The energy and the Euler-Lagrange data are the body's _score for
+    ``profile``, the schedule's final one, from the origin; the record is
+    stationary when max |r| <= EL_TOL lambda_eps, as for a descent stage.
     """
     try:
         # a support value far below eps overflows the barrier's derivatives
         with np.errstate(over="ignore", invalid="ignore"):
-            xi, _, _ = optimal_center(body, measure, profile,
-                                      x0=np.zeros(body.dim))
-            r, lambda_eps = el_residual(body, xi, measure, profile)
-        energy = float(np.sum(profile.phi(body.support_values - body.normals @ xi)
-                              * measure.masses))
+            _, energy, r, lambda_eps = _score(body, measure, profile,
+                                              np.zeros(body.dim))
         residual = float(np.max(np.abs(r))) / lambda_eps
     except (CenterError, SolverError):
         residual = lambda_eps = energy = None

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,33 @@ def test_identity_allows_p_equal_minus_n(tmp_path):
     code = run_cli(["identity", "--n", "2", "--p", "0",
                     "--output-dir", str(tmp_path)])
     assert code == 1
+
+
+def test_identity_on_a_large_ball(tmp_path):
+    # at p = -n f_p of a centered ball is constant, and its gradient 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 3, "p": -3, "ellipse": [5, 5, 5]}))
+    assert run_cli(["identity", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["max_abs_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"width": 0}, "width"), ({"width": -0.5}, "width"),
+    ({"center": [0, 0]}, "center"), ({"center": [float("nan"), 1]}, "center")])
+def test_bad_bump_parameters_exit_1_with_one_error_line(tmp_path, capsys,
+                                                        params, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 2, "measure": {
+        "density": "bump", "params": params}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["check", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
 
 def test_symmetrize_command(tmp_path):

@@ -207,7 +207,7 @@ def test_optimal_center_evaluates_each_point_once(monkeypatch):
         monkeypatch.setattr(EnergyProfile, name, refuse)
     for prof in profiles:
         points.clear()
-        xi, gnorm, A = optimal_center(body, mu, prof)
+        xi, _, gnorm, A = optimal_center(body, mu, prof)
         assert gnorm <= 1e-10 * mu.total_mass
         assert len(points) >= 3
         assert len({_bits(t) for t in points}) == len(points)
@@ -252,7 +252,7 @@ def test_optimal_center_square_symmetry():
                        np.ones(4))
     for p in (0.5, 0.0, -1.0):
         prof = build_profile(p, 2, 0.1)
-        xi, gnorm, A = optimal_center(body, mu, prof)
+        xi, _, gnorm, A = optimal_center(body, mu, prof)
         assert np.linalg.norm(xi) < 1e-9
         assert gnorm <= 1e-10 * mu.total_mass
 
@@ -264,7 +264,8 @@ def test_optimal_center_gradient_condition_random():
     prof = build_profile(0.5, 2, 0.05)
     for _ in range(10):
         body = random_polygon(rng)
-        xi, gnorm, A = optimal_center(body, mu, prof)
+        xi, value, gnorm, A = optimal_center(body, mu, prof)
+        assert value == energy(body, xi, mu, prof)
         assert gnorm <= 1e-10 * mu.total_mass
         dirs = grid.nodes
         t = body.support(dirs) - dirs @ xi
@@ -282,7 +283,7 @@ def test_optimal_center_converges_where_the_value_stops_resolving():
     raw = wulff_shape(2, grid.nodes, np.ones(len(grid)))
     body = raw.scaled(raw.volume ** -0.5)
     prof = build_profile(1.192092896e-07, 2, 0.1)
-    xi, gnorm, A = optimal_center(body, mu, prof, x0=np.zeros(2))
+    xi, _, gnorm, A = optimal_center(body, mu, prof, x0=np.zeros(2))
     assert gnorm <= 1e-10 * mu.total_mass
     assert body.interior_gap(xi) > 0
     assert np.max(np.linalg.eigvalsh(A)) < 0
@@ -296,7 +297,7 @@ def test_optimal_center_matches_grid_search_oracle():
     grid = build_grid(2, 256)
     mu = uniform_measure(grid)
     prof = build_profile(0.5, 2, 0.05)
-    xi, _, _ = optimal_center(body, mu, prof)
+    xi, _, _, _ = optimal_center(body, mu, prof)
 
     # brute-force maximization over a refining lattice inside the body
     lo = body.vertices.min(axis=0)
@@ -370,7 +371,7 @@ def test_center_hessian_negative_definite():
         prof = build_profile(p, 2, 0.1)
         for _ in range(5):
             body = random_polygon(rng)
-            xi, gnorm, A = optimal_center(body, mu, prof)
+            xi, _, gnorm, A = optimal_center(body, mu, prof)
             assert np.max(np.linalg.eigvalsh(A)) < 0
 
 
@@ -380,7 +381,7 @@ def test_energy_blows_down_near_boundary():
     mu = uniform_measure(grid)
     prof = build_profile(-1.5, 2, 0.1)
     body = wulff_shape(2, grid.nodes, np.ones(len(grid)))
-    xi_star, _, _ = optimal_center(body, mu, prof)
+    xi_star, _, _, _ = optimal_center(body, mu, prof)
     f_star = energy(body, xi_star, mu, prof)
     xi_near = np.array([1.0 - 1e-4, 0.0])
     assert energy(body, xi_near, mu, prof) < f_star - 1e3

@@ -81,6 +81,29 @@ def test_legendre_relations_random_points():
             assert det_fd == pytest.approx(target, rel=1e-5)
 
 
+@pytest.mark.parametrize("axes,center", [
+    *[([r] * n, None) for n in (2, 3) for r in (0.05, 0.5, 5.0, 50.0)],
+    ([0.05, 50.0], None), ([50.0, 0.05, 1.0], None), ([0.05, 0.08], [0.02, 0.01]),
+    ([3.0, 0.2], [0.1, -0.05]), ([40.0, 2.0, 0.5], [0.3, 0.2, -0.1])])
+def test_grad_f_p_matches_central_differences(axes, center):
+    # f_p is (-n-p)-homogeneous, so its derivatives scale as |f_p| / |xi|:
+    # the step is relative to |xi| and the error to |grad| + |f_p| / |xi|
+    body = ellipsoid_model(axes, center=center)
+    n = body.dim
+    rng = np.random.default_rng(17)
+    xi = rng.normal(size=(32, n))
+    xi *= rng.uniform(0.5, 2.0, size=(32, 1)) / np.linalg.norm(xi, axis=1, keepdims=True)
+    r = np.linalg.norm(xi, axis=1)
+    d = 1e-6 * r
+    for p in (-1.0, -float(n)):
+        closed = body.grad_f_p(xi, p)
+        fd = np.column_stack([
+            (body.f_p(xi + d[:, None] * e, p) - body.f_p(xi - d[:, None] * e, p)) / (2 * d)
+            for e in np.eye(n)])
+        scale = np.abs(closed) + (np.abs(body.f_p(xi, p)) / r)[:, None]
+        assert np.all(np.abs(fd - closed) <= 1e-6 * scale)
+
+
 def test_contour_integral_constant(grid720):
     val = homogeneous_contour_integral(
         lambda U: np.linalg.norm(U, axis=1) ** (-2.0), grid720)

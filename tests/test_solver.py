@@ -8,7 +8,8 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from conftest import dihedral_group, random_polygon
-from lpmink.energy import ProfileError, build_profile, energy, optimal_center
+from lpmink.energy import (EnergyProfile, ProfileError, build_profile, energy,
+                           optimal_center)
 from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
 from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
@@ -84,7 +85,7 @@ def test_minimize_beats_generator_energy(grid2):
     prof = build_profile(p, 2, 0.05)
     body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions())
     tri1 = tri.scaled(tri.volume ** -0.5)
-    xi_t, _, _ = optimal_center(tri1, mu, prof)
+    xi_t, _, _, _ = optimal_center(tri1, mu, prof)
     assert rec.energy <= energy(tri1, xi_t, mu, prof) + 1e-6
 
 
@@ -124,6 +125,29 @@ def test_outer_gradient_matches_finite_differences(grid2):
         Fm = evaluate_offsets(mu, prof, h - e)[2]
         fd = (Fp - Fm) / (2 * d)
         assert fd == pytest.approx(r0[i], rel=1e-4, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_body_is_scored_with_one_profile_pass(grid2, grid3, monkeypatch, n):
+    # the energy is optimal_center's value at its accepted center; only
+    # el_residual evaluates phi_eps' once more
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], {2: grid2, 3: grid3}[n])
+    prof = build_profile(0.5, n, 0.05)
+    calls = {"phi": 0, "dphi": 0}
+    for name in calls:
+        def counting(self, t, name=name, method=getattr(EnergyProfile, name)):
+            calls[name] += 1
+            return method(self, t)
+        monkeypatch.setattr(EnergyProfile, name, counting)
+    body, xi, F, _, _ = evaluate_offsets(mu, prof, np.ones(len(mu.grid)),
+                                         xi0=np.zeros(n))
+    assert calls == {"phi": 0, "dphi": 1}
+    record = solver._finish_record(body, mu, prof)
+    assert calls == {"phi": 0, "dphi": 2}
+    monkeypatch.undo()
+    assert F == energy(body, xi, mu, prof)
+    xi_fin, _, _, _ = optimal_center(body, mu, prof, x0=np.zeros(n))
+    assert record.energy == energy(body, xi_fin, mu, prof)
 
 
 @pytest.mark.parametrize("p,c", [(0.5, None), (0.0, 1.0), (-0.5, None)])
@@ -390,7 +414,7 @@ def test_finish_record_is_honest(grid2):
     prof = build_profile(-0.5, 2, eps_final)
     K = M.scaled(1.0 / report.lam)
     assert K.volume == pytest.approx(1.0, rel=1e-12)
-    xi, _, _ = optimal_center(K, mu, prof, x0=np.zeros(2))
+    xi, _, _, _ = optimal_center(K, mu, prof, x0=np.zeros(2))
     r, lam = el_residual(K, xi, mu, prof)
     assert fin.lambda_eps == pytest.approx(lam, rel=1e-12)
     assert fin.residual == pytest.approx(np.max(np.abs(r)) / lam, abs=1e-15)
