@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed config, 2 hypothesis-check failure,
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -94,10 +95,22 @@ DENSITIES = {"const": _const_density, "dipole": _dipole_density,
 
 
 def _read_json(path, what):
+    """The JSON value in a config, measure or body file. Python's json reads
+    NaN, Infinity and literals such as 1e999, none a JSON number: an error."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError("cannot read %s: %s" % (what, exc)) from exc
+    todo = [((), data)]
+    while todo:
+        where, value = todo.pop()
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError("cannot read %s: the number at %s is not finite" % (
+                what, "".join("[%s]" % json.dumps(key) for key in where) or "its root"))
+        if type(value) in (dict, list):
+            todo += [(where + (key,), child) for key, child in
+                     (value.items() if type(value) is dict else enumerate(value))]
+    return data
 
 
 def _check_keys(obj, allowed, what):

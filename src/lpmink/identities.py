@@ -24,7 +24,8 @@ class SmoothBody:
     """Ellipsoid with closed-form support and curvature evaluators.
 
     The body is {sum (x_i - c_i)^2 / a_i^2 <= 1}. All evaluators accept
-    arrays of shape (..., n) and act on the last axis.
+    arrays of shape (..., n) and act on the last axis. The semiaxes, the
+    center and prod a_i^2 must be finite and prod a_i^2 nonzero.
 
     Notes
     -----
@@ -41,10 +42,14 @@ class SmoothBody:
         self.dim = len(semiaxes)
         self.center = (np.zeros(self.dim) if center is None
                        else np.asarray(center, dtype=float))
+        with np.errstate(over="ignore", under="ignore"):
+            self._a2 = semiaxes ** 2
+            self._prod_a2 = float(np.prod(self._a2))
+        if not (0 < self._prod_a2 < np.inf and np.all(np.isfinite(self.center))):
+            raise IdentityError("semiaxes and center must be finite, and the product "
+                                "of the squared semiaxes a positive double")
         if np.linalg.norm(self.center) >= semiaxes.min():
             raise IdentityError("center offset must keep the origin interior")
-        self._a2 = semiaxes ** 2
-        self._prod_a2 = float(np.prod(self._a2))
         self.volume = unit_ball_volume(self.dim) * float(np.prod(semiaxes))
 
     def _h0(self, xi):
@@ -140,15 +145,19 @@ def fp_identity_matrix(body, p, grid):
     """Moment matrix M_ij = quadrature of u_i h^p(u) d_j f_p(u).
 
     Returns (M, target, deviation) where target = -(n+p) V(K) I and
-    deviation = M - target. At p = -n the target is the zero matrix.
+    deviation = M - target. At p = -n the target is the zero matrix. M
+    overflows, an IdentityError, for semiaxes many decades apart.
     """
     if p == 0:
         raise IdentityError("the identity requires p != 0")
     u = grid.nodes
     n = body.dim
-    hp = body.h(u) ** p
-    grad = body.grad_f_p(u, p)
-    integrand = u[:, :, None] * grad[:, None, :] * hp[:, None, None]
-    M = np.einsum("aij,a->ij", integrand, grid.weights)
+    with np.errstate(all="ignore"):
+        hp = body.h(u) ** p
+        grad = body.grad_f_p(u, p)
+        integrand = u[:, :, None] * grad[:, None, :] * hp[:, None, None]
+        M = np.einsum("aij,a->ij", integrand, grid.weights)
+    if not np.all(np.isfinite(M)):
+        raise IdentityError("the moment matrix is not finite at this body's scale")
     target = -(n + p) * body.volume * np.eye(n)
     return M, target, M - target

@@ -373,9 +373,7 @@ def positive_hull_check(measure):
         return PositiveHullReport(True, L_dim, pos_equals_L,
                                   detail="support spans the ambient space")
     if pos_equals_L:
-        detail = "positive hull equals lin supp"
-        if antipodal:
-            detail = "antipodal pair"
+        detail = "antipodal pair" if antipodal else "positive hull equals lin supp"
         return PositiveHullReport(False, L_dim, True, antipodal, detail)
     return PositiveHullReport(True, L_dim, False, antipodal,
                               detail="positive hull is a proper cone of lin supp")
@@ -426,44 +424,51 @@ def _line_distances(rows, dirs):
     return np.sqrt(sq)
 
 
-def _planes_through(rows, dirs, dist):
-    """Split the atoms off each row's line into the planes through the row.
+def _plane_masses(rows, dirs, masses, dist):
+    """Off-line mass of the plane through each row u and each atom.
 
-    An atom v off the line of u sits at the angle, mod pi, of its
-    projection p onto u^perp (|p| = dist). Sorted by angle, consecutive
-    atoms a, b share a plane through u while max(|p_a|, |p_b|) times their
-    angle gap, each one's distance from the other's plane, is at most
-    SUBSPACE_TOL; the circle of angles is cut at its widest gap, so no run
-    wraps. Returns (members, starts, owner): run r is the atoms
-    members[starts[r]:starts[r + 1]] and passes through rows[owner[r]].
+    Seen from u, an atom v at distance r = |u ^ v| > SUBSPACE_TOL from u's
+    line sits at the angle theta_v, mod pi, of its projection onto u-perp,
+    and lies within SUBSPACE_TOL of the plane through u at angle t exactly
+    when t is in the interval theta_v +- asin(SUBSPACE_TOL / r) mod pi.
+    Each row sorts its interval ends and angles once (starts, then angles,
+    then ends where they tie; an interval that wraps past pi is counted
+    from the start of the row), and a running sum of +mass at each start
+    and -mass at each end reads each plane's mass at its angle. In angle
+    order the ends are nearly sorted, so the stable sort is about linear.
+
+    Returns the masses, meaningless for atoms on the line, and segment ids,
+    shared by the atoms one row sees with no interval end between them.
     """
+    b, k = dist.shape
     axis = np.eye(3)[np.argmin(np.abs(rows), axis=1)]
     e1 = np.cross(rows, axis)
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(rows, e1)
-    off = dist > SUBSPACE_TOL
-    # atoms on the line sort last, behind the sentinel angle 2 pi
-    theta = np.where(off, np.arctan2(e2 @ dirs.T, e1 @ dirs.T) % np.pi, 2 * np.pi)
-    order = np.argsort(theta, axis=1, kind="stable")
-    theta = np.take_along_axis(theta, order, axis=1)
-    radius = np.take_along_axis(dist, order, axis=1)
-    count = off.sum(axis=1)[:, None]
-    pos = np.arange(dirs.shape[0])
-    valid = pos < count
-    # gap after each sorted atom; the last one's wraps to the first + pi
-    wrap = pos == count - 1
-    next_theta = np.where(wrap, theta[:, :1] + np.pi, np.roll(theta, -1, axis=1))
-    next_radius = np.where(wrap, radius[:, :1], np.roll(radius, -1, axis=1))
-    gap = np.where(valid, np.maximum(radius, next_radius) * (next_theta - theta),
-                   -np.inf)
-    shift = np.argmax(gap, axis=1)[:, None] + 1
-    src = np.where(valid, (pos + shift) % np.maximum(count, 1), pos)
-    order = np.take_along_axis(order, src, axis=1)
-    ends = np.take_along_axis(gap > SUBSPACE_TOL, src, axis=1)
-    start = np.ones_like(ends)
-    start[:, 1:] = ends[:, :-1]
-    start &= valid
-    return order[valid], np.flatnonzero(start[valid]), np.nonzero(start)[0]
+    theta = np.arctan2(e2 @ dirs.T, e1 @ dirs.T)
+    theta += np.pi * (theta < 0)
+    # atoms on the line sort last, at the angle inf
+    theta[dist <= SUBSPACE_TOL] = np.inf
+    order = np.argsort(theta, axis=1)
+    flat = (order + k * np.arange(b)[:, None]).ravel()
+    theta = theta.ravel()[flat].reshape(b, k)
+    radius = np.maximum(dist.ravel()[flat], SUBSPACE_TOL).reshape(b, k)
+    half = np.arcsin(SUBSPACE_TOL / radius)
+    lo, hi = theta - half, theta + half
+    start = np.where(lo < 0, lo + np.pi, lo)
+    end = np.where(hi >= np.pi, hi - np.pi, hi)
+    mass = masses[order]
+    steps = np.hstack([mass, np.zeros((b, k)), -mass]).ravel()
+    events = np.argsort(np.hstack([start, theta, end]), axis=1, kind="stable")
+    # stable, so the c-th angle event of a row is theta[c]
+    at = np.flatnonzero((events >= k) & (events < 2 * k)).reshape(b, k)
+    events += 3 * k * np.arange(b)[:, None]
+    running = np.cumsum(steps[events], axis=1).ravel()
+    plane, seg = np.empty((b, k)), np.empty((b, k), dtype=at.dtype)
+    plane.flat[flat] = np.where(start > end, mass, 0.0).sum(axis=1)[:, None] + running[at]
+    # the interval ends before each angle, offset by the row's place
+    seg.flat[flat] = at - np.arange(k)
+    return plane, seg
 
 
 def subspace_concentration_check(measure):
@@ -475,77 +480,59 @@ def subspace_concentration_check(measure):
 
     A candidate subspace is its set of atoms, and an atom lies in L when
     its distance from L is at most SUBSPACE_TOL: |u ^ v| <= SUBSPACE_TOL
-    for the line through v, |<u, w>| <= SUBSPACE_TOL for a plane with unit
+    for the line through u, |<v, w>| <= SUBSPACE_TOL for a plane with unit
     normal w; a ratio within SUBSPACE_TOL of its limit is an equality.
-    Lines are taken through every atom and, for n = 3, planes through
-    every pair of atoms off one line; ``_planes_through`` groups the planes
-    through each atom by one angle sort. Each subspace is counted once, at
-    its lowest-index atom. Witnesses list lines by that atom, then planes
-    by their lowest (i, j) pair. Cost O(k^2 log k) time and O(k) memory
-    per atom for k distinct atoms.
+    Lines are taken through every atom and, for n = 3, planes through every
+    pair of atoms i < j off one line, all screened by ``_plane_masses``. A
+    candidate near its limit takes its atom set from the direct test, once
+    per row and segment. Each atom set counts once, under the first atom
+    or pair (i, j) that spans it; witnesses list lines, then planes, in
+    that order. Cost O(k^2 log k) time and O(k) memory per atom for k
+    distinct atoms, plus O(k) per direct test.
     """
     dirs, masses = _distinct_atoms(measure)
-    n = measure.dim
-    total = masses.sum()
-    k = len(dirs)
+    (k, n), total = dirs.shape, masses.sum()
 
-    # each candidate as (dim, lowest atom i, lowest atom j off i's line);
-    # only those near their limit can be witnesses: their atom sets are
-    # kept and their ratios summed again in atom order below
+    # only candidates near their limit can be witnesses; they keep their atom sets
     floor = {d: 1.0 - (SUBSPACE_TOL + 1e-12) * n / d for d in (1, 2)}
-    atom_sets, worst = {}, 0.0
+    found, worst = {}, 0.0
     step = max(1, _SCAN_BLOCK // k)
     for b in range(0, k, step):
         block = np.arange(b, min(b + step, k))
         dist = _line_distances(dirs[block], dirs)
         on_line = dist <= SUBSPACE_TOL
-        lowest = np.argmax(on_line, axis=1) == block
         line_mass = on_line @ masses
-        rows = np.flatnonzero(lowest)
-        scaled = line_mass[rows] / total * n
-        worst = max(worst, scaled.max(initial=0.0))
-        for r in rows[scaled >= floor[1]]:
-            atom_sets[1, int(block[r]), -1] = on_line[r].copy()
+        scaled = line_mass / total * n
+        worst = max(worst, scaled.max())
+        for r in np.flatnonzero(scaled >= floor[1]):
+            found.setdefault((1, on_line[r].tobytes()), (1, block[r], -1, on_line[r]))
         if n == 3:
-            members, starts, owner = _planes_through(dirs[block], dirs, dist)
-            if len(starts) == 0:
-                continue
-            low = np.minimum.reduceat(members, starts)
-            runs = np.flatnonzero(lowest[owner] & (low > block[owner]))
-            mass = line_mass[owner[runs]] + np.add.reduceat(masses[members], starts)[runs]
-            scaled = mass / total * n / 2
-            worst = max(worst, scaled.max(initial=0.0))
-            bounds = np.append(starts, len(members))
-            for r in runs[scaled >= floor[2]]:
-                on = on_line[owner[r]].copy()
-                on[members[bounds[r]:bounds[r + 1]]] = True
-                atom_sets[2, int(block[owner[r]]), int(low[r])] = on
+            plane, seg = _plane_masses(dirs[block], dirs, masses, dist)
+            pair = ~on_line & (np.arange(k) > block[:, None])
+            scaled = (line_mass[:, None] + plane) / total * n / 2
+            worst = max(worst, scaled.max(initial=0.0, where=pair))
+            rows, cols = np.nonzero(pair & (scaled >= floor[2]))
+            for r in np.sort(np.unique(seg[rows, cols], return_index=True)[1]):
+                i, j = block[rows[r]], cols[r]
+                w = np.cross(dirs[i], dirs[j])
+                on = np.abs(dirs @ w) / np.linalg.norm(w) <= SUBSPACE_TOL
+                found.setdefault((2, on.tobytes()), (2, i, j, on))
 
     report = SubspaceConcentrationReport(satisfied=True, worst_ratio=float(worst))
-    for (dim_L, i, j), on in sorted(atom_sets.items()):
-        span_rows = dirs[[i, j] if dim_L == 2 else [i]]
+    for dim_L, i, j, on in sorted(found.values(), key=lambda c: c[:3]):
         ratio = float(masses[on].sum() / total)
         limit = dim_L / n
         equality = abs(ratio - limit) <= SUBSPACE_TOL
         complement_ok = False
-        if equality:
-            rest = dirs[~on]
-            if len(rest) == 0:
-                complement_ok = True
-            else:
-                rest_basis = _linear_span(rest)
-                L_basis = _linear_span(span_rows)
-                stacked = np.hstack([L_basis, rest_basis])
-                full_rank = (np.linalg.matrix_rank(stacked, tol=1e-9)
-                             == L_basis.shape[1] + rest_basis.shape[1])
-                complement_ok = bool(rest_basis.shape[1] <= n - dim_L and full_rank)
-        witness = SubspaceWitness(dim_L, ratio, equality, complement_ok,
-                                  np.nonzero(on)[0].tolist())
-        if ratio > limit + SUBSPACE_TOL or (equality and not complement_ok):
-            report.satisfied = False
-            report.witnesses.append(witness)
-        elif equality:
-            report.witnesses.append(witness)
+        if equality:  # a ratio of dim L / n < 1 leaves atoms outside L
+            rest = _linear_span(dirs[~on])
+            both = np.hstack([_linear_span(dirs[[i, j] if dim_L == 2 else [i]]), rest])
+            complement_ok = bool(rest.shape[1] <= n - dim_L and
+                                 np.linalg.matrix_rank(both, tol=1e-9) == both.shape[1])
+        if equality or ratio > limit + SUBSPACE_TOL:
+            report.satisfied = report.satisfied and complement_ok
+            report.witnesses.append(SubspaceWitness(dim_L, ratio, equality, complement_ok,
+                                                    np.flatnonzero(on).tolist()))
         report.worst_ratio = max(report.worst_ratio, ratio / limit)
     return report
 
@@ -565,28 +552,22 @@ def _regular_simplex(d):
 def _orthonormal_extension(seed, orthogonal_to, dim_target):
     """Gram-Schmidt frame seeded by ``seed`` inside the complement of a basis."""
     n = len(seed)
-    proj_out = orthogonal_to  # (n, r) orthonormal columns or empty
     basis = []
 
     def project(v):
-        w = v.copy()
-        if proj_out.shape[1]:
-            w -= proj_out @ (proj_out.T @ w)
+        # orthogonal_to holds (n, r) orthonormal columns, r >= 0
+        w = v - orthogonal_to @ (orthogonal_to.T @ v)
         for b in basis:
             w -= b * (b @ w)
         return w
 
-    w0 = project(seed)
-    basis.append(w0 / np.linalg.norm(w0))
-    for i in range(n):
+    for v in [seed, *np.eye(n)]:
         if len(basis) == dim_target:
             break
-        w = project(np.eye(n)[i])
+        w = project(v)
         nw = np.linalg.norm(w)
         if nw > 1e-9:
             basis.append(w / nw)
-    if len(basis) != dim_target:
-        raise MeasureError("failed to build an orthonormal frame (dimension bookkeeping)")
     return np.column_stack(basis)
 
 
@@ -631,16 +612,14 @@ def symmetrize_hemisphere(measure):
         raise HypothesisError("margin LP failed: %s" % res1.message)
     t_star = -res1.fun
 
-    # stage 2: most interior coefficient vector keeping half that margin
+    # stage 2, same objective: most interior coefficients keeping half that margin
     t_req = max(t_star, 0.0) / 2.0
-    c2 = np.zeros(k + 1)
-    c2[-1] = -1.0
     A_ub2 = np.vstack([
         np.hstack([-np.eye(k), np.ones((k, 1))]),
         np.hstack([-G, np.zeros((k, 1))]),
     ])
     b_ub2 = np.concatenate([np.zeros(k), -t_req * np.ones(k)])
-    res2 = linprog(c2, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq, b_eq=[1.0],
+    res2 = linprog(c, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq, b_eq=[1.0],
                    bounds=[(None, None)] * (k + 1), method="highs")
     if not res2.success or -res2.fun <= 1e-12:
         raise HypothesisError("no direction lies in relint(pos supp) with "
@@ -674,10 +653,8 @@ def symmetrize_hemisphere(measure):
         if np.linalg.norm(A @ simplex[i] - simplex[i + 1]) > 1e-9:
             raise MeasureError("cyclic rotation failed to map the simplex")
 
-    cone_normals = []
-    for j in range(1, d + 1):
-        w = simplex[0] - simplex[j]
-        cone_normals.append(w / np.linalg.norm(w))
+    cone_normals = [(simplex[0] - v) / np.linalg.norm(simplex[0] - v)
+                    for v in simplex[1:]]
 
     # mu0(u) = sum_i mu(A^i u), read through the node permutations of the
     # group {A^i}

@@ -259,6 +259,50 @@ def test_bad_bump_parameters_exit_1_with_one_error_line(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
 
+@pytest.mark.parametrize("command,text,where", [
+    ("identity", '{"n": 2, "p": -1, "ellipse": [Infinity, 1]}', '["ellipse"][0]'),
+    ("check", '{"n": 2, "measure": {"atoms": [{"u": [Infinity, 0], "mass": 1}]}}',
+     '["measure"]["atoms"][0]["u"][0]'),
+    ("check", '{"n": 2, "measure": {"density": "bump", "params": {"base": NaN}}}',
+     '["measure"]["params"]["base"]'),
+    ("identity", '{"n": 2, "p": -Infinity}', '["p"]'),
+    # a literal past the doubles, which Python reads as inf
+    ("check", '{"n": 2, "measure": {"file": "measure.json"}}', '["atoms"][0]["mass"]'),
+    ("verify", '{"n": 2, "p": 0.5, "body_file": "body.json"}', '["offsets"][1]'),
+])
+def test_non_finite_json_numbers_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            command, text, where):
+    monkeypatch.chdir(tmp_path)
+    Path("measure.json").write_text('{"atoms": [{"u": [1, 0], "mass": 1e999}]}')
+    Path("body.json").write_text('{"normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], '
+                                 '"offsets": [1, NaN, 1, 1]}')
+    Path("cfg.json").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([command, "--config", "cfg.json", "--output-dir", "out"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("the number at %s is not finite\n" % where)
+    assert not Path("out", "report.json").exists()
+
+
+@pytest.mark.parametrize("ellipse", [[1e200, 1.0], [1e-200, 1.0], [1e-100, 1.0]])
+def test_identity_of_a_body_past_the_doubles_exits_1_with_one_error_line(
+        tmp_path, capsys, ellipse):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 2, "p": -1.0, "ellipse": ellipse,
+                                    "grid": {"resolution": 64}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["identity", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_symmetrize_command(tmp_path):
     cfg = {
         "n": 2, "grid": {"resolution": 360},

@@ -227,3 +227,18 @@ def test_model_validation_errors():
     off = ellipsoid_model([1.5, 1.0], center=[0.3, 0.0])
     with pytest.raises(IdentityError):
         off.htilde(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("semiaxes,center", [
+    ([np.inf, 1.0], None), ([np.nan, 1.0], None), ([1.0, 1.0], [np.nan, 0.0]),
+    # the squared semiaxes' product overflows, or underflows to 0
+    ([1e200, 1.0], None), ([1e-200, 1.0], None)])
+def test_model_rejects_semiaxes_its_formulas_cannot_hold(semiaxes, center):
+    with pytest.raises(IdentityError):
+        ellipsoid_model(semiaxes, center=center)
+
+
+def test_identity_matrix_that_overflows_raises():
+    # a valid body, a hundred decades from round, whose moment matrix is not finite
+    with pytest.raises(IdentityError, match="not finite"):
+        fp_identity_matrix(ellipsoid_model([1e-100, 1.0]), -1.0, build_grid(2, 64))

@@ -328,6 +328,10 @@ def test_subspace_concentration_cube_equality():
     assert report.satisfied
     eq_lines = [w for w in report.witnesses if w.dim == 1]
     assert len(eq_lines) == 3
+    # the frame about an axis starts on another axis, so the atoms there
+    # sit at the angle 0 and their plane intervals wrap past 0 and pi
+    assert [w.atom_indices for w in report.witnesses] == [
+        [0, 1], [2, 3], [4, 5], [0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]]
     assert all(w.equality and w.complement_exists for w in report.witnesses)
     assert report.worst_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -440,6 +444,13 @@ def _planted_atoms(rng, n, parts):
                 basis = np.eye(2)
             t = rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 6))
             dirs += list(np.column_stack([np.cos(t), np.sin(t)]) @ basis)
+        elif part == "near_plane":  # within 1.5 SUBSPACE_TOL of a great circle
+            frame = special_ortho_group.rvs(n, random_state=rng)
+            t = rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 7))
+            ring = np.column_stack([np.cos(t), np.sin(t)]) @ frame[:2]
+            if n == 3:
+                ring += np.outer(rng.uniform(-1.5e-9, 1.5e-9, len(t)), frame[2])
+            dirs += list(ring)
         elif part == "antipodal":
             u = dirs[rng.integers(len(dirs))] if dirs else _random_unit(rng, n)
             dirs += [u, -u]
@@ -459,8 +470,8 @@ def _planted_atoms(rng, n, parts):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
-       parts=st.lists(st.sampled_from(["random", "circle", "antipodal", "axes",
-                                       "octahedron", "cube"]),
+       parts=st.lists(st.sampled_from(["random", "circle", "near_plane", "antipodal",
+                                       "axes", "octahedron", "cube"]),
                       min_size=1, max_size=4),
        weights=st.sampled_from(["equal", "random", "heavy"]),
        twin=st.booleans())
@@ -486,9 +497,6 @@ def test_subspace_concentration_matches_brute_force(n, seed, parts, weights, twi
         [r for _, r, _, _, _ in witnesses], rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="_planes_through chains atoms within "
-                   "SUBSPACE_TOL of each other into one plane; the oracle "
-                   "needs each atom within SUBSPACE_TOL of one plane")
 def test_subspace_check_chained_plane_matches_brute_force():
     # atoms 1 to 4 sit within a few SUBSPACE_TOL of the plane x_2 = 0 through
     # e3, at azimuths 0, 0.9e-9, 2.4e-9 and 3.3e-9 rad: each one is within
@@ -508,11 +516,25 @@ def test_subspace_check_chained_plane_matches_brute_force():
     assert np.min(np.abs(dirs[[1, 4]] @ w)) > 1e-9
     report = subspace_concentration_check(mu)
     satisfied, worst, _ = _brute_force_subspace_check(mu)
-    # the checker reports the plane witness [0..4] at ratio 0.745; the
-    # oracle is satisfied, with worst ratio 0.845
+    # chaining the atoms would give the plane witness [0..4] at ratio 0.745;
+    # the oracle is satisfied, with worst ratio 0.845
     assert satisfied and worst == pytest.approx(1.5 * 3.1 / 5.5, rel=1e-12)
     assert report.satisfied == satisfied
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+
+
+def test_subspace_check_counts_an_atom_within_tol_of_a_grid_plane():
+    # on the 2000-node grid the plane through nodes 414 and 1780 holds
+    # node 1811 at distance 9.3e-10; the next node is 2.0e-3 away
+    grid = build_grid(3, 2000)
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid)
+    w = np.cross(grid.nodes[414], grid.nodes[1780])
+    on = np.abs(grid.nodes @ w) / np.linalg.norm(w) <= 1e-9
+    assert np.flatnonzero(on).tolist() == [414, 1780, 1811]
+    ratio = mu.masses[on].sum() / mu.total_mass
+    report = subspace_concentration_check(mu)
+    # the checker sums the plane's masses in another order
+    assert report.worst_ratio >= ratio / (2 / 3) * (1 - 1e-12)
 
 
 def _dense_positive_hull_lp(dirs):
