@@ -183,6 +183,15 @@ def _vector(n):
     return kind
 
 
+def _rows(n):
+    """A ``_require`` kind: a nonempty list of ``_vector(n)``s, as an array."""
+    def kind(val):
+        if type(val) is not list or not val:
+            raise ValueError("expected a nonempty list of lists")
+        return np.array([_vector(n)(row) for row in val])
+    return kind
+
+
 def _grid_config(cfg):
     """The config's ``grid`` object; ``build_grid`` validates its symmetry."""
     grid_cfg = _object(cfg, "grid")
@@ -199,15 +208,20 @@ def build_problem_grid(cfg, n):
 
 
 def _read_atoms(spec, n):
-    """Unit directions and masses of the measure's inline ``atoms``."""
+    """Unit directions and masses of the measure's inline ``atoms``, each
+    field read by its JSON type."""
+    atoms = spec["atoms"]
     try:
-        dirs = np.array([atom["u"] for atom in spec["atoms"]], dtype=float)
-        masses = np.array([atom["mass"] for atom in spec["atoms"]], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("atoms must be a list of {\"u\": [...], \"mass\": m}") from exc
-    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
-    if masses.ndim != 1 or dirs.shape != (len(masses), n) or not np.all(norms > 0):
-        raise ConfigError("every atom needs a nonzero direction of dimension %d" % n)
+        if type(atoms) is not list or not all(type(atom) is dict for atom in atoms):
+            raise ConfigError("not a list of objects")
+        dirs = _rows(n)([atom.get("u") for atom in atoms])
+        masses = np.array([_require(atom, "mass", float) for atom in atoms])
+    except (ConfigError, ValueError, OverflowError) as exc:
+        raise ConfigError("atoms must be a nonempty list of {\"u\": [%d numbers], "
+                          "\"mass\": m}" % n) from exc
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    if not np.all(norms > 0):
+        raise ConfigError("every atom needs a nonzero direction")
     return dirs / norms, masses
 
 
@@ -245,6 +259,15 @@ def build_problem_measure(cfg, grid):
 
 def _dump_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _dump_measure(path, measure):
+    """measure.to_dict() as _dump_json writes it, but with one line per atom:
+    json's indenting encoder is pure Python, slow on many thousand atoms."""
+    data = measure.to_dict()
+    atoms = json.dumps(data.pop("atoms"), sort_keys=True)[1:-1].replace("}, {", "},\n    {")
+    text = json.dumps({**data, "atoms": None}, indent=2, sort_keys=True)
+    path.write_text(text.replace('"atoms": null', '"atoms": [\n    %s\n  ]' % atoms) + "\n")
 
 
 def _dump_residuals_csv(path, nodes, mu, sp):
@@ -303,10 +326,13 @@ def cmd_verify(cfg, outdir):
         raise ConfigError("verify requires p in (-n, 1)")
     data = _read_json(_require(cfg, "body_file", str), "body file")
     try:
-        normals = np.asarray(data["normals"], dtype=float)
-        offsets = np.asarray(data["offsets"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("body file needs numeric 'normals' and 'offsets'") from exc
+        if type(data) is not dict:
+            raise ConfigError("not a JSON object")
+        normals = _require(data, "normals", _rows(n))
+        offsets = _require(data, "offsets", _vector(len(normals)))
+    except ConfigError as exc:
+        raise ConfigError("body file needs 'normals', a list of lists of %d numbers, "
+                          "and 'offsets', a list of as many numbers" % n) from exc
     body = wulff_shape(n, normals, offsets)
     grid = build_problem_grid(cfg, n)
     measure = build_problem_measure(cfg, grid)
@@ -366,7 +392,7 @@ def cmd_symmetrize(cfg, outdir):
         "cone_normals": cone.tolist(),
         "mu0_total_mass": mu0.total_mass,
     })
-    _dump_json(outdir / "measure0.json", mu0.to_dict())
+    _dump_measure(outdir / "measure0.json", mu0)
     return EXIT_OK
 
 
@@ -385,7 +411,7 @@ def cmd_smooth(cfg, outdir):
         "total_mass": smoothed.total_mass,
         "density_bounds": list(smoothed.density_bounds),
     })
-    _dump_json(outdir / "measure.json", smoothed.to_dict())
+    _dump_measure(outdir / "measure.json", smoothed)
     return EXIT_OK
 
 

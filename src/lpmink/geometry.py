@@ -11,8 +11,12 @@ this structure; active constraints keep their offsets as support values.
 The ridges are the one face structure that facet_jacobian and body_to_off read.
 
 A polygon whose every constraint is active needs no hull: sorted by
-angle, consecutive lines meet in its vertices (polygon_all_active). The
-Newton finish, whose states are such bodies, builds its polygons that way.
+angle, consecutive lines meet in its vertices (polygon_all_active). Nor
+does a polytope whose ridges are known and whose vertices are simple:
+each vertex follows from its three planes, and local convexity at every
+vertex shows the ridges still hold (polytope_same_type). The Newton
+finish, whose states are such bodies, builds its polygons the first way
+and its polytopes the second while their ridges hold.
 """
 
 import numpy as np
@@ -100,26 +104,14 @@ def _facet_sums(facet, values, m):
     return np.stack([np.bincount(facet, col, minlength=m) for col in values.T], axis=1)
 
 
-def _polytope_from_dual(shifted, dual_hull):
-    """Vertices, facet areas, volume, centroid and ridges of a polytope.
+def _fan(shifted, vertices, facet, a, b):
+    """Facet areas, volume and centroid of a polytope from its facets' edges.
 
-    Each dual triangle is a vertex; Qhull's triangulated output ('Qt') gives
-    every triangle cut from one dual facet the same hyperplane bit for bit,
-    so equal hyperplanes are one vertex. Neighbouring triangles with distinct
-    vertices span an edge, the ridge of the two facets at the shared dual
-    edge. Coordinates are relative to the interior point the dual was taken
-    about.
+    Edge e of facet ``facet[e]`` joins vertices ``a[e]`` and ``b[e]``, and
+    every ridge is listed once for each of its two facets. Coordinates are
+    relative to the interior point the offsets ``shifted`` are taken about.
     """
-    tri, m = dual_hull.simplices, len(shifted)
-    planes, vid = np.unique(dual_hull.equations, axis=0, return_inverse=True)
-    vertices = planes[:, :3] / -planes[:, 3:]
-    f = np.repeat(np.arange(len(tri)), 3)
-    k = np.tile(np.arange(3), len(tri))
-    g = dual_hull.neighbors.ravel()
-    edge = (f < g) & (vid[f] != vid[g])
-    f, g, k = f[edge], g[edge], k[edge]
-    facet = np.concatenate([tri[f, (k + 1) % 3], tri[f, (k + 2) % 3]])
-    a, b = np.tile(vid[f], 2), np.tile(vid[g], 2)
+    m = len(shifted)
     # fan each facet about its vertex mean (every vertex ends two of its edges)
     ends = vertices[a] + vertices[b]
     mean = _facet_sums(facet, ends, m)[facet] / (2.0 * np.bincount(facet)[facet, None])
@@ -132,8 +124,31 @@ def _polytope_from_dual(shifted, dual_hull):
     if volume <= 0:
         raise WulffError("degenerate polytope (nonpositive volume)")
     centroid = 0.25 * (shifted @ moments) / volume
-    return vertices, facet_areas, volume, centroid, (
-        facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]]))
+    return facet_areas, volume, centroid
+
+
+def _polytope_from_dual(shifted, dual_hull):
+    """Vertices, facet areas, volume, centroid and ridges of a polytope.
+
+    Each dual triangle is a vertex; Qhull's triangulated output ('Qt') gives
+    every triangle cut from one dual facet the same hyperplane bit for bit,
+    so equal hyperplanes are one vertex. Neighbouring triangles with distinct
+    vertices span an edge, the ridge of the two facets at the shared dual
+    edge. Coordinates are relative to the interior point the dual was taken
+    about.
+    """
+    tri = dual_hull.simplices
+    planes, vid = np.unique(dual_hull.equations, axis=0, return_inverse=True)
+    vertices = planes[:, :3] / -planes[:, 3:]
+    f = np.repeat(np.arange(len(tri)), 3)
+    k = np.tile(np.arange(3), len(tri))
+    g = dual_hull.neighbors.ravel()
+    edge = (f < g) & (vid[f] != vid[g])
+    f, g, k = f[edge], g[edge], k[edge]
+    facet = np.concatenate([tri[f, (k + 1) % 3], tri[f, (k + 2) % 3]])
+    a, b = np.tile(vid[f], 2), np.tile(vid[g], 2)
+    return (vertices, *_fan(shifted, vertices, facet, a, b),
+            (facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]])))
 
 
 class Body:
@@ -160,6 +175,9 @@ class Body:
         ends (a polygon's ridge is one vertex); None when the body was not
         built by wulff_shape or polygon_all_active.
     """
+
+    #: polytope_same_type's per-type data, computed once from the ridges
+    _type = None
 
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
                  centroid, support_values, validate=True, ridges=None):
@@ -359,6 +377,86 @@ def polygon_all_active(normals, offsets, interior_hint):
     return Body(2, normals, offsets.copy(), vertices + center, facet_areas,
                 float(area), centroid + center, offsets.copy(),
                 validate=False, ridges=ridges)
+
+
+def _simple_type(body):
+    """The combinatorial type of a polytope whose vertices are all simple.
+
+    Returns (planes, cramer, direction, third), cached on ``body``: the
+    three facets k, l, m of each vertex, the coefficients
+    (u_l x u_m, u_m x u_k, u_k x u_l) / det(u_k, u_l, u_m) that give the
+    vertex from their offsets, each ridge's direction u_i x u_j signed
+    along its recorded ends, and the third facet at each end. WulffError
+    is raised when a facet is inactive or a vertex is not on exactly three
+    facets.
+    """
+    if body._type is None:
+        pairs, ends = body.ridges
+        if (np.any(np.bincount(pairs.ravel(), minlength=len(body.normals)) == 0)
+                or np.any(np.bincount(ends.ravel(), minlength=len(body.vertices)) != 3)):
+            raise WulffError("a facet is inactive or a vertex is not simple")
+        # the three ridges at a vertex name each of its facets twice
+        around = np.argsort(ends.ravel(), kind="stable") // 2
+        planes = np.sort(pairs[around].reshape(-1, 6), axis=1)[:, ::2]
+        uk, ul, um = body.normals[planes.T]
+        cross = np.stack([np.cross(ul, um), np.cross(um, uk), np.cross(uk, ul)], axis=1)
+        cramer = cross / np.einsum("ij,ij->i", uk, cross[:, 0])[:, None, None]
+        ui, uj = body.normals[pairs.T]
+        direction = np.cross(ui, uj)
+        edges = body.vertices[ends[:, 1]] - body.vertices[ends[:, 0]]
+        direction *= np.sign(np.einsum("ij,ij->i", edges, direction))[:, None]
+        third = planes[ends].sum(axis=2) - pairs.sum(axis=1)[:, None]
+        body._type = planes, cramer, direction, third
+    return body._type
+
+
+def polytope_same_type(body, offsets, interior_hint):
+    """The polytope {<x, u_i> <= h_i} with ``body``'s ridges, built without a hull.
+
+    ``body`` is a 3-dimensional body with recorded ridges, every facet
+    active and every vertex simple (on exactly three facets). Each vertex
+    is recomputed from its three planes by Cramer's rule,
+    v = sum_k s_k (u_l x u_m) / det(u_k, u_l, u_m) with s the offsets about
+    ``interior_hint``; the coefficients depend only on the normals and the
+    ridges, so they are computed once and carried with the body returned.
+    It is accepted when every ridge keeps a positive length along
+    u_i x u_j in its recorded orientation and each ridge's far end lies
+    strictly inside the third plane at its near end. The surface is then
+    locally convex at every vertex, so it bounds a convex body (van
+    Heijenoort, 1952): the Wulff shape, whose ridges are ``body``'s. Facet
+    areas, volume and centroid are read off those ridges as in wulff_shape,
+    support values equal the offsets, and Body's invariants hold by
+    construction and are not checked.
+
+    WulffError is raised when that combinatorial type does not hold: a
+    facet of ``body`` is inactive or a vertex not simple, an offset is
+    non-finite, the hint is not inside every halfspace by at least
+    1e-6 max(1, max|h|), as in wulff_shape, or a check fails.
+    """
+    if body.dim != 3 or body.ridges is None:
+        raise GeometryError("polytope_same_type needs a 3-dimensional body "
+                            "with recorded ridges")
+    offsets = np.asarray(offsets, dtype=float)
+    if not np.all(np.isfinite(offsets)):
+        raise WulffError("offsets must be finite")
+    planes, cramer, direction, third = _simple_type(body)
+    normals, (pairs, ends) = body.normals, body.ridges
+    center = np.asarray(interior_hint, dtype=float)
+    shifted = _shifted_about_hint(normals, offsets, center)
+    vertices = np.einsum("ikj,ik->ij", cramer, shifted[planes])
+    at = vertices[ends]
+    # the ridge's far end against the third plane at each of its ends
+    slack = np.einsum("ikj,ikj->ik", at[:, ::-1], normals[third]) - shifted[third]
+    if not (np.all(np.einsum("ij,ij->i", at[:, 1] - at[:, 0], direction) > 0)
+            and np.all(slack < 0)):
+        raise WulffError("the combinatorial type does not hold at these offsets")
+    facet_areas, volume, centroid = _fan(shifted, vertices, pairs.T.ravel(),
+                                         *np.tile(ends.T, 2))
+    same = Body(3, normals, offsets.copy(), vertices + center, facet_areas,
+                volume, centroid + center, offsets.copy(), validate=False,
+                ridges=body.ridges)
+    same._type = body._type
+    return same
 
 
 def facet_jacobian(body):

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from lpmink.energy import CenterError, build_profile, optimal_center
 from lpmink.geometry import (GeometryError, WulffError, facet_jacobian,
                              lp_surface_area_measure, polygon_all_active,
-                             wulff_shape)
+                             polytope_same_type, wulff_shape)
 from lpmink.measures import HypothesisError, positive_hull_check
 
 #: verify's residual_l1 at which the Newton finish stops and counts as
@@ -165,14 +165,17 @@ def _multiplier_scale(lambda0, p, n):
     return (lambda0 / abs(p)) ** (1.0 / (n - p))
 
 
-def _finish_state(measure, p, s, hint):
+def _finish_state(measure, p, s, hint, like=None):
     """Body and F(s) = (1-p) s + log S(e^s) - log mu at log-support s.
 
     The states are the bodies whose every facet is active, where log S is
-    defined: a polygon is built in closed form by polygon_all_active, with
-    no hull, a polytope by wulff_shape. Returns None when the build raises
-    WulffError, as for a non-finite h = e^s, a hint outside the body or an
-    inactive facet of a polygon, or when a facet of a polytope is inactive.
+    defined. A polygon is built in closed form by polygon_all_active. A
+    polytope is built without a hull by polytope_same_type, with the
+    ridges of ``like``, a body of the previous state's combinatorial type,
+    and by wulff_shape when that type no longer holds or ``like`` is None.
+    Returns None when the build raises WulffError, as for a non-finite
+    h = e^s, a hint outside the body or an inactive facet of a polygon,
+    or when a facet of a polytope is inactive.
     """
     h = np.exp(s)
     nodes = measure.grid.nodes
@@ -180,7 +183,12 @@ def _finish_state(measure, p, s, hint):
         if measure.dim == 2:
             body = polygon_all_active(nodes, h, hint)
         else:
-            body = wulff_shape(3, nodes, h, validate=False, interior_hint=hint)
+            try:
+                if like is None:
+                    raise WulffError("no combinatorial type to keep")
+                body = polytope_same_type(like, h, hint)
+            except WulffError:
+                body = wulff_shape(3, nodes, h, validate=False, interior_hint=hint)
     except WulffError:
         return None
     if not np.all(body.facet_areas > 0):
@@ -189,7 +197,7 @@ def _finish_state(measure, p, s, hint):
     return body, F
 
 
-def newton_finish(measure, p, h):
+def newton_finish(measure, p, h, like=None):
     """Damped Newton on the discrete Lp equation h^(1-p) S(h) = mu.
 
     The origin stays fixed and the unknowns are the log-supports s = log h,
@@ -201,9 +209,13 @@ def newton_finish(measure, p, h):
     step solves the equivalent symmetric system B y = -S F, ds = y / h,
     with B = dS/dh + (1-p) diag(S/h), as a band of half-width 2 built from
     the normals (see _newton_step). ``h`` must be positive, so the origin
-    is the interior hint of the start's Wulff shape. When
-    wulff_shape refuses that hint, or some facet of the shape is inactive,
-    every offset first gains FINISH_MARGIN times their mean, which adds a
+    is the interior hint of the start's Wulff shape. At n = 3
+    _finish_state builds each trial state with the ridges of the accepted
+    one, and the start with those of ``like``, a body of its
+    combinatorial type such as the descent iterate it is rescaled from;
+    a hull is built only where the ridges change. When the start's build
+    refuses that hint, or some facet of the shape is inactive, every
+    offset first gains FINISH_MARGIN times their mean, which adds a
     circumscribed polytope and makes every facet active. A step is halved
     until the mass-weighted merit sum_i mu_i F_i^2 or |F|^2 falls by the
     Armijo factor; the Newton direction descends both. Weighting by mass
@@ -232,10 +244,10 @@ def newton_finish(measure, p, h):
         warnings.simplefilter("ignore", MatrixRankWarning)
         origin = np.zeros(measure.dim)
         s = np.log(h)
-        state = _finish_state(measure, p, s, origin)
+        state = _finish_state(measure, p, s, origin, like)
         if state is None:
             s = np.log(h + FINISH_MARGIN * float(np.mean(h)))
-            state = _finish_state(measure, p, s, origin)
+            state = _finish_state(measure, p, s, origin, like)
         if state is None:
             return None
         body, F = state
@@ -258,7 +270,7 @@ def newton_finish(measure, p, h):
             merits = weights @ F ** 2
             t = min(1.0, 2.0 * t)
             for _ in range(FINISH_HALVINGS):
-                trial = _finish_state(measure, p, s + t * ds, body.centroid)
+                trial = _finish_state(measure, p, s + t * ds, body.centroid, body)
                 if trial is not None and np.any(
                         weights @ trial[1] ** 2 <= (1.0 - 1e-4 * t) * merits):
                     break
@@ -332,9 +344,10 @@ class _Finisher:
 
     Calling it with a volume-one iterate, its optimal center and its
     multiplier starts Newton at the multiplier-rescaled body centered
-    there; the first success, newton_finish's (body, steps), is kept in
-    ``result``, which ends the solve. Past FINISH_ATTEMPTS attempts only
-    a stage's last iterate is tried.
+    there, which has the iterate's ridges; the first success,
+    newton_finish's (body, steps), is kept in ``result``, which ends the
+    solve. Past FINISH_ATTEMPTS attempts only a stage's last iterate is
+    tried.
     """
 
     def __init__(self, measure, p):
@@ -348,7 +361,8 @@ class _Finisher:
         self.attempts += 1
         lam = _multiplier_scale(lambda_eps, self.p, body.dim)
         self.result = newton_finish(self.measure, self.p,
-                                    lam * (body.support_values - body.normals @ xi))
+                                    lam * (body.support_values - body.normals @ xi),
+                                    body)
         return self.result is not None
 
 

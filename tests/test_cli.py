@@ -465,6 +465,24 @@ def test_smooth_takes_the_grid_symmetry(tmp_path):
         assert mass[(x, -y)] == pytest.approx(m, rel=1e-12)
 
 
+def test_measure_files_hold_one_line_per_atom(tmp_path):
+    # the atoms are written compactly, every other field as _dump_json
+    # writes it; the file reads back as the smoothed measure
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 2, "m": 4, "grid": {"resolution": 64},
+                                    "measure": {"atoms": _SQUARE_ATOMS}}))
+    assert run_cli(["smooth", "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "measure.json").read_text()
+    data = json.loads(text)
+    atoms = data.pop("atoms")
+    lines = text.splitlines()
+    assert lines[:2] == ["{", '  "atoms": [']
+    assert [json.loads(line.strip().rstrip(",")) for line in lines[2:2 + len(atoms)]] == atoms
+    assert "\n".join(lines[2 + len(atoms):]) == "  ],\n" + json.dumps(
+        data, indent=2, sort_keys=True)[2:]
+
+
 def test_c_flag_requires_the_const_density(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -640,6 +658,42 @@ def test_reports_are_byte_reproducible(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
     assert (out1 / "body.json").read_bytes() == (out2 / "body.json").read_bytes()
+
+
+#: the 4-node circle's nodes as atoms of unit mass
+_SQUARE_ATOMS = [{"u": u, "mass": 1} for u in sphere.build_grid(2, 4).nodes.tolist()]
+
+
+@pytest.mark.parametrize("field", ["u", "mass", "normals", "offsets"])
+def test_numeric_strings_in_atoms_and_body_files_exit_1_with_one_error_line(
+        tmp_path, capsys, monkeypatch, field):
+    # every field is read by its JSON type: a string of digits is no number
+    monkeypatch.chdir(tmp_path)
+    atoms = [dict(atom) for atom in _SQUARE_ATOMS]
+    body = {"normals": [atom["u"] for atom in atoms], "offsets": [1, 1, 1, 1]}
+    if field in ("u", "mass"):
+        atoms[0][field] = ["1", "0"] if field == "u" else "1.5"
+        command = "check"
+    else:
+        body[field] = [[str(x) for x in row] for row in body["normals"]] \
+            if field == "normals" else ["1", "1", "1", "1"]
+        command = "verify"
+    Path("body.json").write_text(json.dumps(body))
+    Path("cfg.json").write_text(json.dumps({
+        "n": 2, "p": 0.5, "body_file": "body.json", "grid": {"resolution": 4},
+        "measure": {"atoms": atoms}}))
+    assert run_cli([command, "--config", "cfg.json", "--output-dir", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not Path("out", "report.json").exists()
+    # the same files with numbers run
+    atoms[0] = dict(_SQUARE_ATOMS[0])
+    Path("body.json").write_text(json.dumps({"normals": [a["u"] for a in atoms],
+                                             "offsets": [1, 1, 1, 1]}))
+    Path("cfg.json").write_text(json.dumps({
+        "n": 2, "p": 0.5, "body_file": "body.json", "grid": {"resolution": 4},
+        "measure": {"atoms": atoms}}))
+    assert run_cli([command, "--config", "cfg.json", "--output-dir", "out"]) in (0, 2)
 
 
 def test_verify_command(tmp_path):

@@ -12,7 +12,7 @@ from lpmink import geometry
 from lpmink.geometry import (Body, GeometryError, WulffError, body_stats,
                              body_to_off, facet_jacobian,
                              lp_surface_area_measure, polygon_all_active,
-                             santalo_quadrature, wulff_shape)
+                             polytope_same_type, santalo_quadrature, wulff_shape)
 from lpmink.measures import density_measure
 from lpmink.solver import solve
 from lpmink.sphere import build_grid, unit_ball_volume
@@ -221,6 +221,110 @@ def test_polygon_all_active_errors():
             polygon_all_active(normals, np.array([1, 1, 1, 1, cut]), [0.0, 0.0])
     body = polygon_all_active(normals, np.array([1, 1, 1, 1, 1.2]), [0.0, 0.0])
     assert body.facet_areas[4] == pytest.approx(2 * np.sqrt(2) - 2.4, abs=1e-12)
+
+
+def _ridge_set(body):
+    return set(map(tuple, np.sort(body.ridges[0], axis=1).tolist()))
+
+
+def _all_active_polytope(seed, grid_size):
+    """A polytope with every facet active: a grid body or a random one cut
+    down to its active constraints."""
+    rng = np.random.default_rng(seed)
+    if grid_size:
+        nodes = build_grid(3, grid_size).nodes
+        return wulff_shape(3, nodes, np.exp(0.3 * nodes @ rng.normal(size=3)),
+                           interior_hint=np.zeros(3))
+    body = random_polytope(rng)
+    active = body.facet_areas > 0
+    return wulff_shape(3, body.normals[active], body.offsets[active],
+                       interior_hint=np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), grid_size=st.sampled_from([0, 100, 500]),
+       decades=st.floats(1.0, 7.0))
+def test_polytope_same_type_is_the_wulff_shape_or_refuses(seed, grid_size, decades):
+    # relative perturbations of 1e-7 to 1e-1 of every offset
+    body = _all_active_polytope(seed, grid_size)
+    rng = np.random.default_rng((seed, 1))
+    offsets = body.offsets * np.exp(10.0 ** -decades * rng.normal(size=len(body.offsets)))
+    hint = np.zeros(3)
+    try:
+        same = polytope_same_type(body, offsets, hint)
+    except WulffError:
+        return
+    ref = wulff_shape(3, body.normals, offsets, interior_hint=hint)
+    assert _ridge_set(same) == _ridge_set(ref)
+    assert np.all(same.facet_areas > 0)
+    assert np.all(np.abs(same.facet_areas - ref.facet_areas)
+                  <= 1e-12 * ref.facet_areas.max())
+    assert same.volume == pytest.approx(ref.volume, rel=1e-12)
+    size = np.max(np.abs(ref.vertices))
+    assert np.all(np.abs(same.centroid - ref.centroid) <= 1e-12 * size)
+    assert np.array_equal(same.support_values, offsets)
+    same._check_invariants()
+    assert np.all(np.abs(same.support(body.normals) - offsets) <= 1e-12 * size)
+
+
+def test_polytope_same_type_refuses_an_edge_flip():
+    # pulling in the third plane k at one end of the shortest ridge (i, j)
+    # moves that end along the ridge; past the other end the ridge is gone
+    # and facets k and l, the third at the other end, meet instead
+    body = _all_active_polytope(3, 0)
+    pairs, ends = body.ridges
+    lengths = np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]], axis=1)
+    r = np.argmin(lengths)
+    (i, j), (a, b) = pairs[r], ends[r]
+    facets_at = [set(pairs[np.any(ends == v, axis=1)].ravel()) for v in (a, b)]
+    k, l = (facets_at[0] - {i, j}).pop(), (facets_at[1] - {i, j}).pop()
+    u = body.normals
+    d = np.cross(u[i], u[j])
+    # pulling plane k in by delta moves vertex a by -delta d / <u_k, d>
+    delta_star = -(body.vertices[b] - body.vertices[a]) @ d / (d @ d) * (u[k] @ d)
+    assert delta_star > 0
+    for factor, flips in ((0.5, False), (1.5, True)):
+        offsets = body.offsets.copy()
+        offsets[k] -= factor * delta_star
+        ref = wulff_shape(3, u, offsets, interior_hint=np.zeros(3))
+        assert np.all(ref.facet_areas > 0)
+        if not flips:
+            assert _ridge_set(polytope_same_type(body, offsets, np.zeros(3))) == _ridge_set(ref)
+            continue
+        assert _ridge_set(ref) == _ridge_set(body) - {(min(i, j), max(i, j))} | {(min(k, l), max(k, l))}
+        with pytest.raises(WulffError):
+            polytope_same_type(body, offsets, np.zeros(3))
+
+
+def test_polytope_same_type_refuses_a_vertex_of_degree_four():
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    octahedron = wulff_shape(3, signs / np.sqrt(3), np.ones(8))
+    assert np.all(np.bincount(octahedron.ridges[1].ravel()) == 4)
+    for offsets in (np.ones(8), np.linspace(1.0, 1.1, 8)):
+        with pytest.raises(WulffError):
+            polytope_same_type(octahedron, offsets, np.zeros(3))
+
+
+def test_polytope_same_type_errors():
+    cube = wulff_shape(3, CUBE_NORMALS, np.ones(6))
+    # the cube's vertices are simple, so its type carries over
+    moved = polytope_same_type(cube, np.arange(1.0, 7.0), np.zeros(3))
+    assert moved.volume == pytest.approx(3 * 7 * 11, rel=1e-12)
+    assert np.allclose(moved.centroid, [-0.5, -0.5, -0.5], rtol=0, atol=1e-12)
+    bad = [(np.array([1.0, 1, 1, np.nan, 1, 1]), np.zeros(3)),  # non-finite
+           (np.ones(6), np.array([1.5, 0.0, 0.0]))]  # hint outside
+    for offsets, hint in bad:
+        with pytest.raises(WulffError):
+            polytope_same_type(cube, offsets, hint)
+    # a cube with one more halfspace, which misses its corner (1, 1, 1)
+    loose = wulff_shape(3, np.vstack([CUBE_NORMALS, [[1, 1, 1]] / np.sqrt(3)]),
+                        np.append(np.ones(6), 2.0))
+    assert loose.facet_areas[6] == 0
+    with pytest.raises(WulffError):
+        polytope_same_type(loose, loose.offsets, np.zeros(3))
+    with pytest.raises(GeometryError):
+        polytope_same_type(wulff_shape(2, SQUARE_NORMALS, np.ones(4)),
+                           np.ones(4), np.zeros(2))
 
 
 def test_circumscribed_polytope_matches_ball(grid3):

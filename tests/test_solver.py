@@ -735,25 +735,48 @@ def _finish_states():
     return states
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0])
+def test_n3_finish_keeps_the_descent_type_without_a_hull(grid3, monkeypatch, p):
+    # the descent's first body is the one hull of the solve: the finish
+    # starts from it scaled, and every later state keeps its ridges
+    hulls = []
+    hull = geometry.ConvexHull
+
+    def counted(*args, **kwargs):
+        hulls.append(args)
+        return hull(*args, **kwargs)
+
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid3)
+    monkeypatch.setattr(geometry, "ConvexHull", counted)
+    M, report = solve(mu, p)
+    assert report.converged and report.newton_steps == 3
+    assert report.residual_l1 <= FINISH_TOL
+    assert len(hulls) == 1
+
+
 def test_newton_step_matches_the_general_solve():
     # at n = 2 the banded symmetric system gives J's Newton step, with
     # J = (1-p) I + diag(1/S) (dS/dh) diag(h) solved as a general sparse
-    # system; at n = 3 the step is that solve
+    # system; at n = 3 the step is that solve, on the state built by
+    # wulff_shape and by polytope_same_type from the unit-offset body
     for name, measure, p, s in _finish_states():
         nodes = measure.grid.nodes
         h = np.exp(s)
         hint = np.zeros(measure.dim)
         if measure.dim == 2:
-            body = geometry.polygon_all_active(nodes, h, hint)
+            bodies = [geometry.polygon_all_active(nodes, h, hint)]
         else:
-            body = wulff_shape(3, nodes, h, interior_hint=hint)
-        assert np.all(body.facet_areas > 0), name
-        F = (1 - p) * s + np.log(body.facet_areas) - np.log(measure.masses)
-        J = geometry.facet_jacobian(body).toarray()
-        J = J / body.facet_areas[:, None] * h[None, :] + (1 - p) * np.eye(len(h))
-        expected = spsolve(sparse.csr_matrix(J), -F)
-        ds = solver._newton_step(body, p, F)
-        assert np.max(np.abs(ds - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+            like = wulff_shape(3, nodes, np.ones(len(h)), interior_hint=hint)
+            bodies = [wulff_shape(3, nodes, h, interior_hint=hint),
+                      geometry.polytope_same_type(like, h, hint)]
+        for body in bodies:
+            assert np.all(body.facet_areas > 0), name
+            F = (1 - p) * s + np.log(body.facet_areas) - np.log(measure.masses)
+            J = geometry.facet_jacobian(body).toarray()
+            J = J / body.facet_areas[:, None] * h[None, :] + (1 - p) * np.eye(len(h))
+            expected = spsolve(sparse.csr_matrix(J), -F)
+            ds = solver._newton_step(body, p, F)
+            assert np.max(np.abs(ds - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
 
 def test_newton_finish_ends_on_an_exactly_singular_step():
