@@ -1,8 +1,11 @@
 """Outer variational loop for the Lp Minkowski problem.
 
 Minimizes the regularized energy over volume-one Wulff shapes on the
-measure's grid by projected gradient descent on the offset vector, with the
-optimal center recomputed at every iterate. Stationarity is the discrete
+measure's grid by a projected descent on the offset vector, with the
+optimal center recomputed at every iterate. Each step tries a Newton
+direction of the volume-constrained energy, preconditioned by the facet
+Jacobian, next to a Barzilai-Borwein gradient step, and takes the Newton
+trial where it does at least as well. Stationarity is the discrete
 Euler-Lagrange identity phi_eps'(h - <u, xi>) mu = lambda_eps S; the
 continuation drives eps to zero and the final body is rescaled by the
 multiplier to match the prescribed measure. A damped Newton finish on the
@@ -12,12 +15,13 @@ its success makes a solve converged. EL_TOL and EPS0 steer the descent
 alone; the options a caller sets are SolveOptions' max_iter and stages.
 """
 
+import logging
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import MatrixRankWarning, splu, spsolve
 
 from lpmink.energy import CenterError, build_profile, optimal_center
 from lpmink.geometry import (GeometryError, WulffError, facet_jacobian,
@@ -45,6 +49,8 @@ MAX_DIAMETER = 60.0
 EL_TOL = 1e-6
 #: the continuation's first eps; stage k runs at EPS0 * 2^-k
 EPS0 = 0.1
+
+_log = logging.getLogger("lpmink.solver")
 
 
 class SolverError(RuntimeError):
@@ -339,6 +345,54 @@ def _checked(body, steps):
     return body, steps
 
 
+def _preconditioned_step(body, xi, measure, profile, r, lambda_eps):
+    """The Newton direction d of the volume-constrained energy at an iterate.
+
+    With t = h - U xi, D = phi_eps''(t) mu, G = diag(D) U and A = U^T G,
+    the center Hessian that optimal_center returns, d solves
+
+        K d + S y + U z = -r,   S^T d = 0,   U^T d = 0,
+        K = diag(D) - G A^-1 G^T - lambda_eps dS/dh,
+
+    the Hessian of the energy maximized over the center, less the volume
+    constraint's curvature. K annihilates the translations U, so the
+    system is solved with K~ = K - U A U^T, which equals K on U^T d = 0:
+    once r's translation part, U z's share, is removed, K~ d + S y = -r
+    with S^T d = 0 forces U^T d = 0. K~ is M = diag(D) - lambda_eps dS/dh,
+    scaled in place on facet_jacobian's CSR and factored once by SuperLU,
+    plus the rank-2n term [G, U] diag(-A^-1, -A) [G, U]^T, which a
+    Woodbury correction with the core diag(-A, -A^-1) + [G, U]^T M^-1
+    [G, U] solves; the border S takes one more right-hand side, 2n + 2 in
+    all. The result is not finite when M, A or the core is singular.
+    """
+    U, S = body.normals, body.facet_areas
+    n = body.dim
+    with np.errstate(all="ignore"):
+        D = profile.d2phi(body.support_values - U @ xi) * measure.masses
+        G = D[:, None] * U
+        A = U.T @ G
+        M = facet_jacobian(body)
+        rows = np.repeat(np.arange(len(D)), np.diff(M.indptr))
+        M.data *= -lambda_eps
+        diag = M.indices == rows
+        M.data[diag] += D[rows[diag]]
+        W = np.hstack([G, U])
+        r = r - U @ np.linalg.solve(U.T @ U, U.T @ r)
+        try:
+            X = splu(M.tocsc()).solve(np.column_stack([W, r, S]))
+            core = np.zeros((2 * n, 2 * n))
+            core[:n, :n] = -A
+            core[n:, n:] = -np.linalg.inv(A)
+            core += W.T @ X[:, :2 * n]
+            xr, xs = (X[:, 2 * n:]
+                      - X[:, :2 * n] @ np.linalg.solve(core, W.T @ X[:, 2 * n:])).T
+        except (RuntimeError, np.linalg.LinAlgError):
+            # SuperLU refuses a singular or non-finite M; LAPACK a singular
+            # A or core
+            return np.full(len(D), np.nan)
+        return (S @ xr) / (S @ xs) * xs - xr
+
+
 class _Finisher:
     """Newton-finish attempts of one solve, from rescaled descent iterates.
 
@@ -368,17 +422,31 @@ class _Finisher:
 
 def minimize_fixed_eps(measure, profile, opts=None, h0=None,
                        energy_trace=None, xi0=None, finish=None):
-    """Projected gradient descent for the fixed-eps minimum body.
+    """Projected descent for the fixed-eps minimum body.
 
     At each iterate the offsets are renormalized to volume one, the optimal
-    center and the Euler-Lagrange residual r are computed, and the step
-    h <- h_support - eta * r is backtracked until the energy decreases.
-    For a measure with an invariance group the step direction is r averaged
-    over the group's orbits, so the iterates stay invariant.
-    Step sizes follow a safeguarded Barzilai-Borwein rule; a trial step
-    whose Wulff shape does not hold the current center (the interior hint)
-    is halved. Terminates when max |r| <= EL_TOL * lambda_eps or after
-    opts.max_iter iterations.
+    center and the Euler-Lagrange residual r are computed, and two trial
+    steps are line-searched, each until the energy falls by the Armijo
+    factor 1e-4 of the predicted decrease, halving at most 60 times; a
+    trial whose Wulff shape does not hold the current center (the
+    interior hint) or whose center fails is halved as well.
+
+    - The gradient trial h - eta * r, with eta from a safeguarded
+      Barzilai-Borwein rule.
+    - The preconditioned trial h + t d from t = 1, with d the Newton
+      direction of the volume-constrained energy (_preconditioned_step),
+      tried only when d is finite and r . d < 0.
+
+    For a measure with an invariance group both directions are averaged
+    over the group's orbits, so the iterates stay invariant. The
+    preconditioned trial is taken when its energy is below the gradient
+    trial's and its max |r| / lambda_eps is at most twice the gradient
+    trial's, or when the gradient search underflows; otherwise the
+    gradient trial is. The energy at eps = 0.1 can be unbounded below on a
+    collapsing body, so a lower energy alone does not choose. Terminates
+    when max |r| <= EL_TOL * lambda_eps or after opts.max_iter
+    iterations. Each stage emits one DEBUG record with its counts of
+    preconditioned and gradient steps on the "lpmink.solver" logger.
 
     Returns (body, xi, StageRecord). When ``energy_trace`` is a list it
     receives the energy of every accepted iterate, in order. ``xi0`` warm
@@ -412,11 +480,35 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
     prev_h = None
     prev_dir = None
+    # accepted preconditioned and gradient steps
+    taken = [0, 0]
+
+    def log_steps():
+        _log.debug("stage at eps %.4g: %d preconditioned and %d gradient steps",
+                   profile.eps, *taken)
 
     def record(iters, res, converged):
+        log_steps()
         body._check_invariants()
         return body, xi, StageRecord(profile.eps, iters, res / lam, lam,
                                      energy, converged)
+
+    def search(point, step, decrease):
+        """The first trial point(step / 2^k), k < 60, whose energy is at
+        most energy - decrease * step, as evaluate_offsets' tuple, or None."""
+        for _ in range(60):
+            try:
+                trial = evaluate_offsets(measure, profile, point(step), xi0=xi)
+            except (WulffError, SolverError, CenterError):
+                step *= 0.5
+                continue
+            if trial[2] <= energy - decrease * step:
+                return trial
+            step *= 0.5
+        return None
+
+    def stationarity(trial):
+        return float(np.max(np.abs(trial[3]))) / trial[4]
 
     checkpoint = 0.1
     iterations = 0
@@ -440,30 +532,33 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
             eta = float(np.clip(eta, 1e-12, 1e6))
         prev_h, prev_dir = h.copy(), direction.copy()
 
-        accepted = False
-        step = eta
-        dir_norm2 = float(direction @ direction)
-        for _ in range(60):
-            try:
-                nbody, nxi, nenergy, nr, nlam = evaluate_offsets(
-                    measure, profile, h - step * direction, xi0=xi)
-            except (WulffError, SolverError, CenterError):
-                step *= 0.5
-                continue
-            if nenergy <= energy - 1e-4 * step * dir_norm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        newton = None
+        d = measure.orbit_average(
+            _preconditioned_step(body, xi, measure, profile, r, lam))
+        slope = float(r @ d)
+        if np.all(np.isfinite(d)) and slope < 0:
+            newton = search(lambda t: h + t * d, 1.0, -1e-4 * slope)
+        gradient = search(lambda t: h - t * direction, eta,
+                          1e-4 * float(direction @ direction))
+        if newton is not None and (gradient is None or (
+                newton[2] < gradient[2]
+                and stationarity(newton) <= 2.0 * stationarity(gradient))):
+            body, xi, energy, r, lam = newton
+            taken[0] += 1
+        elif gradient is not None:
+            body, xi, energy, r, lam = gradient
+            taken[1] += 1
+        else:
+            log_steps()
             raise LineSearchError("line search underflow at iteration %d "
                                   "(residual %.3e)" % (iterations, res), body)
-        body, xi, energy, r, lam = nbody, nxi, nenergy, nr, nlam
         if energy_trace is not None:
             energy_trace.append(energy)
         h = body.support_values.copy()
         direction = measure.orbit_average(r)
         R = float(np.max(np.linalg.norm(body.vertices - body.centroid, axis=1)))
         if 2.0 * R > MAX_DIAMETER:
+            log_steps()
             raise SolverError("iterate diameter exceeded the guard %.1f"
                               % MAX_DIAMETER, body)
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -99,6 +100,85 @@ def test_energy_monotone_along_descent(grid2):
     assert np.all(diffs <= 0.0)
 
 
+def _bordered_direction(body, xi, measure, profile, r, lam):
+    """The preconditioned direction from a dense solve of its bordered system."""
+    U, S = body.normals, body.facet_areas
+    N, n = U.shape
+    _, _, _, A = optimal_center(body, measure, profile, x0=xi)
+    D = profile.d2phi(body.support_values - U @ xi) * measure.masses
+    G = D[:, None] * U
+    K = (np.diag(D) - G @ np.linalg.solve(A, G.T)
+         - lam * geometry.facet_jacobian(body).toarray())
+    B = np.zeros((N + 1 + n, N + 1 + n))
+    B[:N, :N] = K
+    B[:N, N] = B[N, :N] = S
+    B[:N, N + 1:] = U
+    B[N + 1:, :N] = U.T
+    return np.linalg.solve(B, np.concatenate([-r, np.zeros(1 + n)]))[:N]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([0.5, 0.0, -1.0]), eps=st.sampled_from([0.1, 0.025]),
+       inactive=st.booleans(), group=st.booleans())
+@example(n=2, seed=0, p=-1.0, eps=0.1, inactive=True, group=True)
+@example(n=3, seed=1, p=0.5, eps=0.1, inactive=True, group=True)
+def test_preconditioned_step_solves_the_bordered_system(n, seed, p, eps,
+                                                        inactive, group):
+    # the Woodbury and bordering solve against a dense solve of
+    # (K, S, U; S^T, 0, 0; U^T, 0, 0), at bodies with inactive facets and
+    # for measures with a group (the dihedral square's at n = 2, the
+    # central symmetry's at n = 3)
+    rng = np.random.default_rng(seed)
+    mats = (dihedral_group() if n == 2 else [np.eye(3), -np.eye(3)]) if group else None
+    grid = build_grid(n, 64 if n == 2 else 60, symmetry=mats)
+    odd = 0.0 if group else 0.2
+    f = density_measure(lambda U: 1 + 0.3 * U[:, 0] ** 2 * U[:, 1] ** 2
+                        + odd * U[:, 0] + 0.2 * np.sum(U ** 4, axis=1), grid).masses
+    mu = SphericalMeasure(grid, f, group=mats)
+    # a smooth support, which keeps every facet active, moved off center
+    U = grid.nodes
+    h = mu.orbit_average(1.0 + 0.1 * U @ rng.normal(size=n)
+                         + 0.05 * (U ** 2) @ rng.uniform(-1.0, 1.0, n))
+    if inactive:
+        # push the orbits of three nodes well outside the body
+        pushed = np.zeros(len(grid))
+        pushed[rng.choice(len(grid), size=3, replace=False)] = 1.0
+        h = h + 0.5 * (mu.orbit_average(pushed) > 0)
+    prof = build_profile(p, n, eps)
+    body, xi, _, r, lam = evaluate_offsets(mu, prof, h)
+    assert inactive == bool(np.any(body.facet_areas == 0))
+    d = solver._preconditioned_step(body, xi, mu, prof, r, lam)
+    dense = _bordered_direction(body, xi, mu, prof, r, lam)
+    assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
+    scale = np.linalg.norm(d)
+    assert abs(body.facet_areas @ d) <= 1e-12 * np.linalg.norm(body.facet_areas) * scale
+    assert np.all(np.abs(body.normals.T @ d) <= 1e-12 * np.sqrt(len(d)) * scale)
+    if group:
+        assert np.allclose(mu.orbit_average(d), d, rtol=0, atol=1e-10 * scale)
+
+
+def test_preconditioned_descent_solves_roundtrip_polygon_1(grid2, caplog):
+    # roundtrip2d's polygon 1 at p = -1: the gradient descent alone took
+    # 114 steps there, because its first finish attempt failed. Each stage
+    # logs its counts of preconditioned and gradient steps
+    poly = random_polygon(np.random.default_rng((0, 1)))
+    mu = smooth_discrete(poly.normals, lp_surface_area_measure(poly, -1.0),
+                         grid2, m=32)
+    with caplog.at_level(logging.DEBUG, logger="lpmink.solver"):
+        M, report = solve(mu, -1.0)
+    assert report.converged and report.newton_attempts == 1
+    assert sum(s.iterations for s in report.stages) <= 20
+    assert report.residual_l1 <= FINISH_TOL
+    records = [rec for rec in caplog.records if rec.name == "lpmink.solver"]
+    assert len(records) == len(report.stages) - 1  # the finish logs none
+    for rec, stage in zip(records, report.stages):
+        eps, preconditioned, gradient = rec.args
+        assert rec.levelno == logging.DEBUG and eps == stage.eps
+        assert preconditioned + gradient == stage.iterations
+    assert sum(rec.args[1] for rec in records) >= 1
+
+
 def test_stationarity_el_identity(grid2):
     mu = density_measure(lambda U: 1 + 0.3 * U[:, 0] + 0.2 * U[:, 1], grid2)
     prof = build_profile(-0.5, 2, 0.05)
@@ -111,10 +191,15 @@ def test_stationarity_el_identity(grid2):
 def test_outer_gradient_matches_finite_differences(grid2):
     mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
     prof = build_profile(0.5, 2, 0.1)
-    # walk a few steps from the ball to reach a generic iterate
-    body, xi, rec = minimize_fixed_eps(mu, prof, SolveOptions(max_iter=25))
-    h = body.support_values.copy()
-    _, _, F0, r0, _ = evaluate_offsets(mu, prof, h)
+    # a fixed non-symmetric body, far from stationary, so that r stands
+    # above the central difference's rounding noise; its volume-one
+    # support values are the point
+    theta = np.arctan2(grid2.nodes[:, 1], grid2.nodes[:, 0])
+    h = evaluate_offsets(mu, prof, 1.0 + 0.1 * np.cos(theta - 0.3)
+                         + 0.05 * np.sin(3 * theta))[0].support_values.copy()
+    body, _, F0, r0, lam = evaluate_offsets(mu, prof, h)
+    assert np.all(body.facet_areas > 0)
+    assert np.max(np.abs(r0)) >= 1e-3 * lam
     rng = np.random.default_rng(67)
     idx = rng.choice(len(h), size=20, replace=False)
     d = 1e-6
