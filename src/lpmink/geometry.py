@@ -8,7 +8,9 @@ body: each dual facet is a vertex, each dual hull vertex is an active
 constraint (a facet), and neighbouring dual facets span the edges. Facet
 areas, volume, centroid and the ridges where two facets meet are read off
 this structure; active constraints keep their offsets as support values.
-The ridges are the one face structure that facet_jacobian and body_to_off read.
+The ridges are the one face structure that facet_jacobian and body_to_off
+read. solve_facet_system solves the systems diag(a) + c dS/dh of both of
+the solver's Newton steps from them, so dS/dh is computed only here.
 
 A polygon whose every constraint is active needs no hull: sorted by
 angle, consecutive lines meet in its vertices (polygon_all_active). Nor
@@ -21,6 +23,8 @@ and its polytopes the second while their ridges hold.
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgbsv
+from scipy.sparse.linalg import splu
 from scipy.spatial import ConvexHull, QhullError
 
 from lpmink.sphere import unit_ball_volume
@@ -494,6 +498,61 @@ def facet_jacobian(body):
     cols = np.concatenate([j, i, np.arange(m)])
     return sparse.csr_matrix((np.concatenate([off, off, diag]), (rows, cols)),
                              shape=(m, m))
+
+
+def solve_facet_system(body, diag, coef, rhs):
+    """X with (diag(diag) + coef dS/dh) X = rhs, dS/dh as in facet_jacobian.
+
+    ``diag`` is an (m,) array and ``rhs`` an (m,) or (m, k) one, solved
+    for every column at once. At n = 2 dS/dh is cyclic tridiagonal over
+    the active facets in the angular order of ``body.ridges``:
+    1 / sin(theta) beside the diagonal and -(cot(theta_-) + cot(theta_+))
+    on it. Taking that cycle as 0, m-1, 1, m-2, ... makes the system a
+    band of half-width 2, solved by LAPACK's banded LU gbsv, and an
+    inactive facet's row is ``diag`` alone. At n = 3 the system is
+    assembled in place on facet_jacobian's canonical CSR, which stores
+    each diagonal entry once, and factored by SuperLU. Returns NaN in
+    every entry when the system is singular or its data or solution are
+    not finite.
+    """
+    with np.errstate(all="ignore"):
+        if body.dim == 3:
+            M = facet_jacobian(body)
+            rows = np.repeat(np.arange(len(diag)), np.diff(M.indptr))
+            M.data *= coef
+            on = M.indices == rows
+            M.data[on] += diag[rows[on]]
+            try:
+                X = splu(M.tocsc()).solve(rhs)
+            except RuntimeError:
+                X = np.nan  # SuperLU refuses an exactly singular matrix
+        else:
+            # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
+            a, b = body.ridges[0].T
+            m = len(a)
+            ua, ub = body.normals[a], body.normals[b]
+            off = 1.0 / np.abs(ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0])
+            cot = off * np.einsum("ij,ij->i", ua, ub)
+            # band slot k holds cycle position perm[k]; pos inverts it
+            perm = np.empty(m, dtype=int)
+            perm[0::2] = np.arange((m + 1) // 2)
+            perm[1::2] = m - 1 - np.arange(m // 2)
+            pos = np.empty(m, dtype=int)
+            pos[perm] = np.arange(m)
+            nodes = a[perm]
+            # gbsv's layout: two rows for the LU's fill-in above the band's five
+            band = np.zeros((7, m))
+            band[4] = diag[nodes] + coef * -(cot[perm] + cot[perm - 1])
+            i, j = pos, np.concatenate([pos[1:], pos[:1]])
+            band[4 + i - j, j] = band[4 + j - i, i] = coef * off
+            # an inactive facet's row is diag alone
+            X = (rhs.T / diag).T
+            X[nodes] = np.nan
+            if np.isfinite(band).all():
+                _, _, x, info = dgbsv(2, 2, band, rhs[nodes], overwrite_ab=True)
+                if info == 0:  # else a zero pivot: the system is singular
+                    X[nodes] = x
+    return X if np.all(np.isfinite(X)) else np.full(rhs.shape, np.nan)
 
 
 def lp_surface_area_measure(body, p):

@@ -16,17 +16,14 @@ alone; the options a caller sets are SolveOptions' max_iter and stages.
 """
 
 import logging
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import MatrixRankWarning, splu, spsolve
 
 from lpmink.energy import CenterError, build_profile, optimal_center
-from lpmink.geometry import (GeometryError, WulffError, facet_jacobian,
-                             lp_surface_area_measure, polygon_all_active,
-                             polytope_same_type, wulff_shape)
+from lpmink.geometry import (GeometryError, WulffError, lp_surface_area_measure,
+                             polygon_all_active, polytope_same_type,
+                             solve_facet_system, wulff_shape)
 from lpmink.measures import HypothesisError, positive_hull_check
 
 #: verify's residual_l1 at which the Newton finish stops and counts as
@@ -211,10 +208,9 @@ def newton_finish(measure, p, h, like=None):
 
         J = (1-p) I + diag(1/S) (dS/dh) diag(h),
 
-    with dS/dh from ``facet_jacobian``, solved as J at n = 3. At n = 2 the
-    step solves the equivalent symmetric system B y = -S F, ds = y / h,
-    with B = dS/dh + (1-p) diag(S/h), as a band of half-width 2 built from
-    the normals (see _newton_step). ``h`` must be positive, so the origin
+    with dS/dh as in ``facet_jacobian``; the step solves the equivalent
+    symmetric system B y = -S F, ds = y / h, B = (1-p) diag(S/h) + dS/dh,
+    at both n (see _newton_step). ``h`` must be positive, so the origin
     is the interior hint of the start's Wulff shape. At n = 3
     _finish_state builds each trial state with the ridges of the accepted
     one, and the start with those of ``like``, a body of its
@@ -245,9 +241,7 @@ def newton_finish(measure, p, h, like=None):
     total = measure.total_mass
     # one row per merit: sum mu_i F_i^2 and |F|^2
     weights = np.stack([measure.masses, np.ones(len(h))])
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # a singular Jacobian surfaces as a non-finite step
-        warnings.simplefilter("ignore", MatrixRankWarning)
+    with np.errstate(all="ignore"):
         origin = np.zeros(measure.dim)
         s = np.log(h)
         state = _finish_state(measure, p, s, origin, like)
@@ -288,52 +282,13 @@ def newton_finish(measure, p, h, like=None):
 
 
 def _newton_step(body, p, F):
-    """The Newton correction ds, J ds = -F; non-finite when J is singular.
+    """The Newton correction ds, J ds = -F; NaN when J is singular.
 
-    At n = 3 J is scaled in place on facet_jacobian's canonical CSR, which
-    stores each diagonal entry once, and solved by SuperLU. At n = 2 the
-    step solves the equivalent symmetric system B y = -S F, ds = y / h,
-    with B = dS/dh + (1-p) diag(S / h). B is cyclic tridiagonal in the
-    polygon's angular order, with 1 / sin(theta) beside the diagonal and
-    -(cot(theta_-) + cot(theta_+)) + (1-p) S / h on it; taking that cycle
-    as 0, m-1, 1, m-2, ... makes it a band of half-width 2, solved by
-    LAPACK's banded LU. n = 3 stays on J: B's rounding loses the N = 500
-    dipole's converging finish attempt at p = 0.99.
+    J = diag(1/S) B diag(h) with B = (1-p) diag(S/h) + dS/dh symmetric, so
+    ds = y / h for the y with B y = -S F, which solve_facet_system solves.
     """
-    if body.dim == 3:
-        J = facet_jacobian(body)
-        rows = np.repeat(np.arange(len(F)), np.diff(J.indptr))
-        J.data *= (1.0 / body.facet_areas)[rows]
-        J.data *= body.support_values[J.indices]
-        J.data[J.indices == rows] += 1.0 - p
-        return spsolve(J, -F)
     h, S = body.support_values, body.facet_areas
-    # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
-    a, b = body.ridges[0].T
-    m = len(a)
-    ua, ub = body.normals[a], body.normals[b]
-    off = 1.0 / np.abs(ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0])
-    cot = off * np.einsum("ij,ij->i", ua, ub)
-    # band slot k holds cycle position perm[k]; pos inverts it
-    perm = np.empty(m, dtype=int)
-    perm[0::2] = np.arange((m + 1) // 2)
-    perm[1::2] = m - 1 - np.arange(m // 2)
-    pos = np.empty(m, dtype=int)
-    pos[perm] = np.arange(m)
-    nodes = a[perm]
-    band = np.zeros((5, m))
-    band[2] = ((1.0 - p) * S / h)[nodes] - (cot[perm] + cot[perm - 1])
-    i, j = pos, np.concatenate([pos[1:], pos[:1]])
-    band[2 + i - j, j] = off
-    band[2 + j - i, i] = off
-    rhs = (-S * F)[nodes]
-    y = np.full(m, np.nan)
-    if np.all(np.isfinite(band)) and np.all(np.isfinite(rhs)):
-        try:
-            y[nodes] = solve_banded((2, 2), band, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass  # a zero pivot: B is singular, and y stays NaN
-    return y / h
+    return solve_facet_system(body, (1.0 - p) * S / h, 1.0, -S * F) / h
 
 
 def _checked(body, steps):
@@ -359,7 +314,7 @@ def _preconditioned_step(body, xi, measure, profile, r, lambda_eps):
     system is solved with K~ = K - U A U^T, which equals K on U^T d = 0:
     once r's translation part, U z's share, is removed, K~ d + S y = -r
     with S^T d = 0 forces U^T d = 0. K~ is M = diag(D) - lambda_eps dS/dh,
-    scaled in place on facet_jacobian's CSR and factored once by SuperLU,
+    which solve_facet_system solves for all right-hand sides at once,
     plus the rank-2n term [G, U] diag(-A^-1, -A) [G, U]^T, which a
     Woodbury correction with the core diag(-A, -A^-1) + [G, U]^T M^-1
     [G, U] solves; the border S takes one more right-hand side, 2n + 2 in
@@ -371,24 +326,18 @@ def _preconditioned_step(body, xi, measure, profile, r, lambda_eps):
         D = profile.d2phi(body.support_values - U @ xi) * measure.masses
         G = D[:, None] * U
         A = U.T @ G
-        M = facet_jacobian(body)
-        rows = np.repeat(np.arange(len(D)), np.diff(M.indptr))
-        M.data *= -lambda_eps
-        diag = M.indices == rows
-        M.data[diag] += D[rows[diag]]
         W = np.hstack([G, U])
         r = r - U @ np.linalg.solve(U.T @ U, U.T @ r)
+        X = solve_facet_system(body, D, -lambda_eps, np.column_stack([W, r, S]))
         try:
-            X = splu(M.tocsc()).solve(np.column_stack([W, r, S]))
             core = np.zeros((2 * n, 2 * n))
             core[:n, :n] = -A
             core[n:, n:] = -np.linalg.inv(A)
             core += W.T @ X[:, :2 * n]
             xr, xs = (X[:, 2 * n:]
                       - X[:, :2 * n] @ np.linalg.solve(core, W.T @ X[:, 2 * n:])).T
-        except (RuntimeError, np.linalg.LinAlgError):
-            # SuperLU refuses a singular or non-finite M; LAPACK a singular
-            # A or core
+        except np.linalg.LinAlgError:
+            # LAPACK refuses a singular A or core
             return np.full(len(D), np.nan)
         return (S @ xr) / (S @ xs) * xs - xr
 

@@ -2,7 +2,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
@@ -142,6 +142,35 @@ def test_facet_jacobian_of_square_and_bare_body():
                 body.volume, body.centroid, body.support_values)
     with pytest.raises(GeometryError):
         facet_jacobian(bare)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       inactive=st.booleans(), columns=st.sampled_from([0, 1, 4]),
+       newton=st.booleans())
+@example(n=2, seed=0, inactive=True, columns=4, newton=False)
+@example(n=3, seed=1, inactive=True, columns=0, newton=True)
+def test_solve_facet_system_matches_a_dense_solve(n, seed, inactive, columns, newton):
+    # (diag(a) + c dS/dh) X = rhs for the finish's coefficient c = 1 and the
+    # descent's c = -lambda, one right-hand side (columns 0) or several, on
+    # smooth bodies with every facet active or three pushed off the body
+    rng = np.random.default_rng(seed)
+    U = build_grid(n, 64 if n == 2 else 60).nodes
+    h = 1.0 + 0.1 * U @ rng.normal(size=n) + 0.05 * (U ** 2) @ rng.uniform(-1.0, 1.0, n)
+    if inactive:
+        h[rng.choice(len(U), size=3, replace=False)] += 0.5
+    body = wulff_shape(n, U, h)
+    assert inactive == bool(np.any(body.facet_areas == 0))
+    a = rng.uniform(0.5, 2.0, len(U)) * np.mean(body.facet_areas)
+    coef = 1.0 if newton else -rng.uniform(0.1, 2.0)
+    rhs = rng.normal(size=(len(U), columns) if columns else len(U))
+    dense = np.diag(a) + coef * facet_jacobian(body).toarray()
+    # a draw near the system's one sign change says nothing about the solve
+    assume(np.linalg.cond(dense) < 1e6)
+    expected = np.linalg.solve(dense, rhs)
+    X = geometry.solve_facet_system(body, a, coef, rhs)
+    assert X.shape == rhs.shape
+    assert np.linalg.norm(X - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_wall_duplicating_a_grid_normal_owns_its_edge():

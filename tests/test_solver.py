@@ -179,6 +179,20 @@ def test_preconditioned_descent_solves_roundtrip_polygon_1(grid2, caplog):
     assert sum(rec.args[1] for rec in records) >= 1
 
 
+@pytest.mark.xfail(raises=SolverError, strict=True,
+                   reason="after one preconditioned step the descent on round-trip "
+                          "draw 3 at p = -1 runs into the diameter guard")
+def test_solve_roundtrip_draw_3_at_p_minus_one(grid2):
+    # the gradient descent alone solved this draw in 16 steps; with the
+    # preconditioned step, d is never usable after the first step, and the
+    # gradient steps drive the energy down and the body past MAX_DIAMETER
+    poly = random_polygon(np.random.default_rng((7, 3)))
+    mu = smooth_discrete(poly.normals, lp_surface_area_measure(poly, -1.0),
+                         grid2, m=32)
+    M, report = solve(mu, -1.0)
+    assert report.converged and report.residual_l1 <= FINISH_TOL
+
+
 def test_stationarity_el_identity(grid2):
     mu = density_measure(lambda U: 1 + 0.3 * U[:, 0] + 0.2 * U[:, 1], grid2)
     prof = build_profile(-0.5, 2, 0.05)
@@ -840,10 +854,10 @@ def test_n3_finish_keeps_the_descent_type_without_a_hull(grid3, monkeypatch, p):
 
 
 def test_newton_step_matches_the_general_solve():
-    # at n = 2 the banded symmetric system gives J's Newton step, with
+    # the symmetric system B y = -S F gives J's Newton step, with
     # J = (1-p) I + diag(1/S) (dS/dh) diag(h) solved as a general sparse
-    # system; at n = 3 the step is that solve, on the state built by
-    # wulff_shape and by polytope_same_type from the unit-offset body
+    # system: on the band at n = 2, and at n = 3 by SuperLU on the states
+    # built by wulff_shape and by polytope_same_type from the unit-offset body
     for name, measure, p, s in _finish_states():
         nodes = measure.grid.nodes
         h = np.exp(s)
@@ -864,7 +878,7 @@ def test_newton_step_matches_the_general_solve():
             assert np.max(np.abs(ds - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
 
-def test_newton_finish_ends_on_an_exactly_singular_step():
+def test_newton_finish_ends_on_an_exactly_singular_step(monkeypatch):
     # at p = 0 a rectangle's F is unchanged when one pair of sides grows
     # and the other shrinks in proportion (the log-Minkowski rectangles),
     # so J is exactly singular; the finish gives up instead of raising
@@ -876,6 +890,32 @@ def test_newton_finish_ends_on_an_exactly_singular_step():
     J += np.eye(4)
     assert np.all(J @ [1.0, -1.0, 1.0, -1.0] == 0)
     assert newton_finish(mu, 0.0, h) is None
+    # the box [-1, 1] x [-2, 2] x [-4, 4] at p = 0: stretching one axis and
+    # shrinking another in proportion leaves F unchanged, so J has a
+    # 2-dimensional null space. The offsets survive exp(log h) exactly,
+    # so the finish's first state is that box and SuperLU refuses its step
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    grid = DirectionGrid(3, box, np.full(6, 4.0 * np.pi / 6))
+    h = np.array([1.0, 2.0, 4.0, 1.0, 2.0, 4.0])
+    mu = SphericalMeasure(grid, h)
+    body = wulff_shape(3, box, h, interior_hint=np.zeros(3))
+    J = geometry.facet_jacobian(body).toarray() / body.facet_areas[:, None] * h
+    J += np.eye(6)
+    assert np.linalg.matrix_rank(J) == 4
+    refused = []
+    splu = geometry.splu
+
+    def counted(*args):
+        try:
+            return splu(*args)
+        except RuntimeError:
+            refused.append(args)
+            raise
+
+    monkeypatch.setattr(geometry, "splu", counted)
+    assert np.all(np.isnan(solver._newton_step(body, 0.0, np.ones(6))))
+    assert newton_finish(mu, 0.0, h) is None
+    assert len(refused) == 2
 
 
 #: the ellipse and ellipsoid of the ladder, their off-centre centres, the
