@@ -10,7 +10,10 @@ areas, volume, centroid and the ridges where two facets meet are read off
 this structure; active constraints keep their offsets as support values.
 The ridges are the one face structure that facet_jacobian and body_to_off
 read. solve_facet_system solves the systems diag(a) + c dS/dh of both of
-the solver's Newton steps from them, so dS/dh is computed only here.
+the solver's Newton steps from them, so dS/dh is computed only here. Its
+per-ridge data and its sparsity pattern, which depend only on the normals
+and the ridges, are computed once and carried with every body built on
+the same ridges, so a Newton step at n = 3 does only numeric work.
 
 A polygon whose every constraint is active needs no hull: sorted by
 angle, consecutive lines meet in its vertices (polygon_all_active). Nor
@@ -182,6 +185,8 @@ class Body:
 
     #: polytope_same_type's per-type data, computed once from the ridges
     _type = None
+    #: dS/dh's per-ridge data and CSC pattern, computed once from the ridges
+    _pattern = None
 
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
                  centroid, support_values, validate=True, ridges=None):
@@ -459,8 +464,60 @@ def polytope_same_type(body, offsets, interior_hint):
     same = Body(3, normals, offsets.copy(), vertices + center, facet_areas,
                 volume, centroid + center, offsets.copy(), validate=False,
                 ridges=body.ridges)
-    same._type = body._type
+    same._type, same._pattern = body._type, body._pattern
     return same
+
+
+def _ridge_angles(normals, i, j):
+    """1 / sin(theta_ij) and cos(theta_ij) for the angles between normals i and j."""
+    ui, uj = normals[i], normals[j]
+    if normals.shape[1] == 2:
+        sin = np.abs(ui[:, 0] * uj[:, 1] - ui[:, 1] * uj[:, 0])
+    else:
+        sin = np.linalg.norm(np.cross(ui, uj), axis=1)
+    return 1.0 / sin, np.einsum("ij,ij->i", ui, uj)
+
+
+def _facet_pattern(body):
+    """dS/dh's per-ridge data and sparsity pattern, cached on ``body``.
+
+    Returns (facet, 1 / sin(theta_ij), cos(theta_ij), indptr, indices,
+    scatter) for the ridge pairs (i, j), with ``facet`` their i's then
+    their j's. The entries at every (i, j), every (j, i) and every
+    diagonal (k, k), listed in that order and taken in ``scatter`` order,
+    are the values of the CSC matrix with that ``indptr`` and
+    ``indices``; the pattern is symmetric, so the same arrays are its CSR.
+    It depends only on the normals and the ridges, so polytope_same_type
+    passes it to every body it builds.
+    """
+    if body._pattern is None:
+        if body.ridges is None:
+            raise GeometryError("facet_jacobian needs a body built by wulff_shape, "
+                                "polygon_all_active or polytope_same_type")
+        pairs = body.ridges[0]
+        m = len(body.normals)
+        facet = pairs.T.ravel()
+        rows = np.concatenate([facet, np.arange(m)])
+        cols = np.concatenate([pairs[:, ::-1].T.ravel(), np.arange(m)])
+        scatter = np.argsort(cols * m + rows)
+        indptr = np.zeros(m + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
+        body._pattern = (facet, *_ridge_angles(body.normals, *pairs.T), indptr,
+                         rows[scatter].astype(np.intc), scatter)
+    return body._pattern
+
+
+def _facet_matrix(body, diag, coef):
+    """(data, indices, indptr) of diag(diag) + coef dS/dh, in CSC (and CSR) order."""
+    facet, inv_sin, cos, indptr, indices, scatter = _facet_pattern(body)
+    off = inv_sin  # times the ridge's measure, 1 in the plane
+    if body.dim == 3:
+        ends = body.ridges[1]
+        off = off * np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]],
+                                   axis=1)
+    on = -np.bincount(facet, np.tile(off * cos, 2), minlength=len(diag))
+    return (np.concatenate([np.tile(coef * off, 2), diag + coef * on])[scatter],
+            indices, indptr)
 
 
 def facet_jacobian(body):
@@ -474,30 +531,13 @@ def facet_jacobian(body):
         dS_i/dh_i = -sum_j l_ij cot(theta_ij),
 
     with theta_ij the angle between the normals; facets that share no
-    ridge do not interact. Read off the ridges wulff_shape or
-    polygon_all_active recorded.
+    ridge do not interact. Read off the ridges wulff_shape,
+    polygon_all_active or polytope_same_type recorded, with the per-ridge
+    1 / sin(theta_ij), cos(theta_ij) and sparsity pattern that
+    solve_facet_system assembles its n = 3 systems from.
     """
-    if body.ridges is None:
-        raise GeometryError("facet_jacobian needs a body built by wulff_shape "
-                            "or polygon_all_active")
-    pairs, ends = body.ridges
-    i, j = pairs.T
-    ui, uj = body.normals[i], body.normals[j]
-    cos = np.einsum("ij,ij->i", ui, uj)
-    if body.dim == 2:
-        sin = np.abs(ui[:, 0] * uj[:, 1] - ui[:, 1] * uj[:, 0])
-        off = 1.0 / sin
-    else:
-        sin = np.linalg.norm(np.cross(ui, uj), axis=1)
-        ell = np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]],
-                             axis=1)
-        off = ell / sin
     m = len(body.normals)
-    diag = -np.bincount(np.concatenate([i, j]), np.tile(off * cos, 2), minlength=m)
-    rows = np.concatenate([i, j, np.arange(m)])
-    cols = np.concatenate([j, i, np.arange(m)])
-    return sparse.csr_matrix((np.concatenate([off, off, diag]), (rows, cols)),
-                             shape=(m, m))
+    return sparse.csr_matrix(_facet_matrix(body, np.zeros(m), 1.0), shape=(m, m))
 
 
 def solve_facet_system(body, diag, coef, rhs):
@@ -509,30 +549,31 @@ def solve_facet_system(body, diag, coef, rhs):
     1 / sin(theta) beside the diagonal and -(cot(theta_-) + cot(theta_+))
     on it. Taking that cycle as 0, m-1, 1, m-2, ... makes the system a
     band of half-width 2, solved by LAPACK's banded LU gbsv, and an
-    inactive facet's row is ``diag`` alone. At n = 3 the system is
-    assembled in place on facet_jacobian's canonical CSR, which stores
-    each diagonal entry once, and factored by SuperLU. Returns NaN in
-    every entry when the system is singular or its data or solution are
-    not finite.
+    inactive facet's row is ``diag`` alone. At n = 3 the matrix is
+    symmetric and its sparsity pattern is fixed while the ridges hold:
+    each call computes only the ridge lengths and the values, scatters
+    them onto the pattern facet_jacobian reads (kept with the body), and
+    SuperLU factors the result in symmetric mode, ordered by minimum
+    degree on A + A^T, with its default threshold pivoting, which keeps
+    the indefinite systems of the descent safe. Returns NaN in every
+    entry when the system is singular or its data or solution are not
+    finite.
     """
     with np.errstate(all="ignore"):
         if body.dim == 3:
-            M = facet_jacobian(body)
-            rows = np.repeat(np.arange(len(diag)), np.diff(M.indptr))
-            M.data *= coef
-            on = M.indices == rows
-            M.data[on] += diag[rows[on]]
+            m = len(diag)
+            M = sparse.csc_matrix(_facet_matrix(body, diag, coef), shape=(m, m))
             try:
-                X = splu(M.tocsc()).solve(rhs)
+                X = splu(M, permc_spec="MMD_AT_PLUS_A",
+                         options=dict(SymmetricMode=True)).solve(rhs)
             except RuntimeError:
                 X = np.nan  # SuperLU refuses an exactly singular matrix
         else:
             # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
             a, b = body.ridges[0].T
             m = len(a)
-            ua, ub = body.normals[a], body.normals[b]
-            off = 1.0 / np.abs(ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0])
-            cot = off * np.einsum("ij,ij->i", ua, ub)
+            off, cos = _ridge_angles(body.normals, a, b)
+            cot = off * cos
             # band slot k holds cycle position perm[k]; pos inverts it
             perm = np.empty(m, dtype=int)
             perm[0::2] = np.arange((m + 1) // 2)

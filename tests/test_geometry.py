@@ -144,27 +144,68 @@ def test_facet_jacobian_of_square_and_bare_body():
         facet_jacobian(bare)
 
 
+def _ridge_set(body):
+    return {tuple(pair) for pair in np.sort(body.ridges[0], axis=1).tolist()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        inactive=st.booleans(), columns=st.sampled_from([0, 1, 4]),
-       newton=st.booleans())
-@example(n=2, seed=0, inactive=True, columns=4, newton=False)
-@example(n=3, seed=1, inactive=True, columns=0, newton=True)
-def test_solve_facet_system_matches_a_dense_solve(n, seed, inactive, columns, newton):
+       newton=st.booleans(), built=st.sampled_from(["wulff", "same type", "new ridges"]),
+       mixed=st.booleans())
+@example(n=2, seed=0, inactive=True, columns=4, newton=False, built="wulff", mixed=False)
+@example(n=3, seed=1, inactive=True, columns=0, newton=True, built="wulff", mixed=False)
+@example(n=3, seed=2, inactive=False, columns=4, newton=False, built="same type",
+         mixed=False)
+@example(n=3, seed=3, inactive=True, columns=1, newton=True, built="new ridges",
+         mixed=False)
+@example(n=3, seed=4, inactive=False, columns=4, newton=False, built="wulff", mixed=True)
+def test_solve_facet_system_matches_a_dense_solve(n, seed, inactive, columns, newton,
+                                                  built, mixed):
     # (diag(a) + c dS/dh) X = rhs for the finish's coefficient c = 1 and the
     # descent's c = -lambda, one right-hand side (columns 0) or several, on
-    # smooth bodies with every facet active or three pushed off the body
+    # smooth bodies with every facet active or three pushed off the body.
+    # The body is built by wulff_shape, or after a solve on another body:
+    # by polytope_same_type on that body's ridges, so it reuses their
+    # pattern, or by wulff_shape at offsets whose ridges differ. A diagonal
+    # of mixed signs makes the system indefinite, so SuperLU pivots off it
     rng = np.random.default_rng(seed)
     U = build_grid(n, 64 if n == 2 else 60).nodes
-    h = 1.0 + 0.1 * U @ rng.normal(size=n) + 0.05 * (U ** 2) @ rng.uniform(-1.0, 1.0, n)
-    if inactive:
-        h[rng.choice(len(U), size=3, replace=False)] += 0.5
-    body = wulff_shape(n, U, h)
+
+    def offsets(pushed):
+        h = 1.0 + 0.1 * U @ rng.normal(size=n) + 0.05 * (U ** 2) @ rng.uniform(-1.0, 1.0, n)
+        if pushed:
+            h[rng.choice(len(U), size=3, replace=False)] += 0.5
+        return h
+
+    if built == "wulff":
+        body = wulff_shape(n, U, offsets(inactive))
+    else:
+        assume(n == 3 and not (built == "same type" and inactive))
+        # the ridges of a body with three facets pushed off are not the body's
+        solved = wulff_shape(n, U, offsets(built == "new ridges"))
+        geometry.solve_facet_system(solved, np.ones(len(U)), 1.0, np.ones(len(U)))
+        if built == "same type":
+            try:
+                body = polytope_same_type(
+                    solved, solved.offsets * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, len(U))),
+                    np.zeros(n))
+            except WulffError:
+                assume(False)
+            assert body._pattern is solved._pattern
+        else:
+            body = wulff_shape(n, U, offsets(inactive))
+            assert body._pattern is None and _ridge_set(body) != _ridge_set(solved)
     assert inactive == bool(np.any(body.facet_areas == 0))
+    jacobian = facet_jacobian(body).toarray()
+    # the pattern read is the body's own: one entry above the diagonal per ridge
+    assert {tuple(k) for k in np.argwhere(np.triu(jacobian, 1)).tolist()} == _ridge_set(body)
     a = rng.uniform(0.5, 2.0, len(U)) * np.mean(body.facet_areas)
+    if mixed:
+        a *= rng.choice([-1.0, 1.0], len(U))
     coef = 1.0 if newton else -rng.uniform(0.1, 2.0)
     rhs = rng.normal(size=(len(U), columns) if columns else len(U))
-    dense = np.diag(a) + coef * facet_jacobian(body).toarray()
+    dense = np.diag(a) + coef * jacobian
     # a draw near the system's one sign change says nothing about the solve
     assume(np.linalg.cond(dense) < 1e6)
     expected = np.linalg.solve(dense, rhs)
