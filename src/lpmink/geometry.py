@@ -8,12 +8,13 @@ body: each dual facet is a vertex, each dual hull vertex is an active
 constraint (a facet), and neighbouring dual facets span the edges. Facet
 areas, volume, centroid and the ridges where two facets meet are read off
 this structure; active constraints keep their offsets as support values.
-The ridges are the one face structure that facet_jacobian and body_to_off
+The ridges, one Ridges record that every body of a combinatorial type
+holds, are the one face structure that facet_jacobian and body_to_off
 read. solve_facet_system solves the systems diag(a) + c dS/dh of both of
 the solver's Newton steps from them, so dS/dh is computed only here. Its
-per-ridge data and its sparsity pattern, which depend only on the normals
-and the ridges, are computed once and carried with every body built on
-the same ridges, so a Newton step at n = 3 does only numeric work.
+per-ridge data and sparsity pattern depend only on the normals and the
+ridges, so they are computed once per record and a Newton step at n = 3
+does only numeric work.
 
 A polygon whose every constraint is active needs no hull: sorted by
 angle, consecutive lines meet in its vertices (polygon_all_active). Nor
@@ -95,7 +96,7 @@ def _polygon(normals, shifted, a):
     centroid = cross @ (prev + vertices) / (6.0 * area)
     facet_areas = np.zeros(len(normals))
     facet_areas[a] = np.hypot(*(vertices - prev).T)
-    return vertices, facet_areas, area, centroid, (np.column_stack([a, b]), None)
+    return vertices, facet_areas, area, centroid, Ridges(np.column_stack([a, b]))
 
 
 def _shifted_about_hint(normals, offsets, center):
@@ -155,7 +156,22 @@ def _polytope_from_dual(shifted, dual_hull):
     facet = np.concatenate([tri[f, (k + 1) % 3], tri[f, (k + 2) % 3]])
     a, b = np.tile(vid[f], 2), np.tile(vid[g], 2)
     return (vertices, *_fan(shifted, vertices, facet, a, b),
-            (facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]])))
+            Ridges(facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]])))
+
+
+class Ridges:
+    """A combinatorial type, which every body of that type holds by reference.
+
+    ``pairs`` (r, 2) are the facets (i, j) that meet in each ridge, a
+    (dim-2)-face; ``ends`` (r, 2) index each ridge's two end vertices at
+    dim = 3 and are None in the plane, where a ridge is one vertex.
+    ``simple_type`` and ``pattern`` keep what _simple_type and
+    _facet_pattern compute once per record.
+    """
+
+    def __init__(self, pairs, ends=None):
+        self.pairs, self.ends = pairs, ends
+        self.simple_type = self.pattern = None
 
 
 class Body:
@@ -176,20 +192,13 @@ class Body:
     centroid : ndarray, shape (dim,)
     support_values : ndarray, shape (m,)
         True support h(u_i) of the intersection; always <= offsets.
-    ridges : (ndarray (r, 2), ndarray (r, 2) or None) or None
-        The pairs (i, j) of facets that meet in a ridge, a (dim-2)-face,
-        and for dim = 3 the indices into ``vertices`` of each ridge's two
-        ends (a polygon's ridge is one vertex); None when the body was not
-        built by wulff_shape or polygon_all_active.
+    ridges : Ridges
+        The combinatorial type, shared with every body of the same type:
+        scaled, translated and polytope_same_type pass it on.
     """
 
-    #: polytope_same_type's per-type data, computed once from the ridges
-    _type = None
-    #: dS/dh's per-ridge data and CSC pattern, computed once from the ridges
-    _pattern = None
-
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
-                 centroid, support_values, validate=True, ridges=None):
+                 centroid, support_values, ridges, validate=True):
         self.dim = dim
         self.normals = normals
         self.offsets = offsets
@@ -247,8 +256,7 @@ class Body:
         return Body(self.dim, self.normals, self.offsets * lam,
                     self.vertices * lam, self.facet_areas * lam ** (self.dim - 1),
                     self.volume * lam ** self.dim, self.centroid * lam,
-                    self.support_values * lam, validate=False,
-                    ridges=self.ridges)
+                    self.support_values * lam, self.ridges, validate=False)
 
     def translated(self, t):
         """The body K + t."""
@@ -257,8 +265,7 @@ class Body:
         return Body(self.dim, self.normals, self.offsets + shift,
                     self.vertices + t, self.facet_areas,
                     self.volume, self.centroid + t,
-                    self.support_values + shift, validate=False,
-                    ridges=self.ridges)
+                    self.support_values + shift, self.ridges, validate=False)
 
     def embedded(self, normals, index):
         """The body over the constraints ``normals``, whose rows ``index`` are its own.
@@ -273,9 +280,9 @@ class Body:
         offsets[index] = self.offsets
         facet_areas = np.zeros(len(normals))
         facet_areas[index] = self.facet_areas
-        ridges = None if self.ridges is None else (index[self.ridges[0]], self.ridges[1])
         return Body(self.dim, normals, offsets, self.vertices, facet_areas,
-                    self.volume, self.centroid, support_values, ridges=ridges)
+                    self.volume, self.centroid, support_values,
+                    ridges=Ridges(index[self.ridges.pairs], self.ridges.ends))
 
     def to_dict(self):
         return {
@@ -391,7 +398,7 @@ def polygon_all_active(normals, offsets, interior_hint):
 def _simple_type(body):
     """The combinatorial type of a polytope whose vertices are all simple.
 
-    Returns (planes, cramer, direction, third), cached on ``body``: the
+    Returns (planes, cramer, direction, third), kept in its ridge record: the
     three facets k, l, m of each vertex, the coefficients
     (u_l x u_m, u_m x u_k, u_k x u_l) / det(u_k, u_l, u_m) that give the
     vertex from their offsets, each ridge's direction u_i x u_j signed
@@ -399,8 +406,8 @@ def _simple_type(body):
     is raised when a facet is inactive or a vertex is not on exactly three
     facets.
     """
-    if body._type is None:
-        pairs, ends = body.ridges
+    if body.ridges.simple_type is None:
+        pairs, ends = body.ridges.pairs, body.ridges.ends
         if (np.any(np.bincount(pairs.ravel(), minlength=len(body.normals)) == 0)
                 or np.any(np.bincount(ends.ravel(), minlength=len(body.vertices)) != 3)):
             raise WulffError("a facet is inactive or a vertex is not simple")
@@ -415,8 +422,8 @@ def _simple_type(body):
         edges = body.vertices[ends[:, 1]] - body.vertices[ends[:, 0]]
         direction *= np.sign(np.einsum("ij,ij->i", edges, direction))[:, None]
         third = planes[ends].sum(axis=2) - pairs.sum(axis=1)[:, None]
-        body._type = planes, cramer, direction, third
-    return body._type
+        body.ridges.simple_type = planes, cramer, direction, third
+    return body.ridges.simple_type
 
 
 def polytope_same_type(body, offsets, interior_hint):
@@ -427,7 +434,7 @@ def polytope_same_type(body, offsets, interior_hint):
     is recomputed from its three planes by Cramer's rule,
     v = sum_k s_k (u_l x u_m) / det(u_k, u_l, u_m) with s the offsets about
     ``interior_hint``; the coefficients depend only on the normals and the
-    ridges, so they are computed once and carried with the body returned.
+    ridges, so they are computed once, in the ridge record it shares.
     It is accepted when every ridge keeps a positive length along
     u_i x u_j in its recorded orientation and each ridge's far end lies
     strictly inside the third plane at its near end. The surface is then
@@ -442,14 +449,13 @@ def polytope_same_type(body, offsets, interior_hint):
     non-finite, the hint is not inside every halfspace by at least
     1e-6 max(1, max|h|), as in wulff_shape, or a check fails.
     """
-    if body.dim != 3 or body.ridges is None:
-        raise GeometryError("polytope_same_type needs a 3-dimensional body "
-                            "with recorded ridges")
+    if body.dim != 3:
+        raise GeometryError("polytope_same_type needs a 3-dimensional body")
     offsets = np.asarray(offsets, dtype=float)
     if not np.all(np.isfinite(offsets)):
         raise WulffError("offsets must be finite")
     planes, cramer, direction, third = _simple_type(body)
-    normals, (pairs, ends) = body.normals, body.ridges
+    normals, pairs, ends = body.normals, body.ridges.pairs, body.ridges.ends
     center = np.asarray(interior_hint, dtype=float)
     shifted = _shifted_about_hint(normals, offsets, center)
     vertices = np.einsum("ikj,ik->ij", cramer, shifted[planes])
@@ -461,11 +467,8 @@ def polytope_same_type(body, offsets, interior_hint):
         raise WulffError("the combinatorial type does not hold at these offsets")
     facet_areas, volume, centroid = _fan(shifted, vertices, pairs.T.ravel(),
                                          *np.tile(ends.T, 2))
-    same = Body(3, normals, offsets.copy(), vertices + center, facet_areas,
-                volume, centroid + center, offsets.copy(), validate=False,
-                ridges=body.ridges)
-    same._type, same._pattern = body._type, body._pattern
-    return same
+    return Body(3, normals, offsets.copy(), vertices + center, facet_areas, volume,
+                centroid + center, offsets.copy(), body.ridges, validate=False)
 
 
 def _ridge_angles(normals, i, j):
@@ -479,7 +482,7 @@ def _ridge_angles(normals, i, j):
 
 
 def _facet_pattern(body):
-    """dS/dh's per-ridge data and sparsity pattern, cached on ``body``.
+    """dS/dh's per-ridge data and sparsity pattern, kept in ``body``'s ridge record.
 
     Returns (facet, 1 / sin(theta_ij), cos(theta_ij), indptr, indices,
     scatter) for the ridge pairs (i, j), with ``facet`` their i's then
@@ -487,14 +490,11 @@ def _facet_pattern(body):
     diagonal (k, k), listed in that order and taken in ``scatter`` order,
     are the values of the CSC matrix with that ``indptr`` and
     ``indices``; the pattern is symmetric, so the same arrays are its CSR.
-    It depends only on the normals and the ridges, so polytope_same_type
-    passes it to every body it builds.
+    It depends only on the normals and the ridges, so every body that
+    holds the record reads it.
     """
-    if body._pattern is None:
-        if body.ridges is None:
-            raise GeometryError("facet_jacobian needs a body built by wulff_shape, "
-                                "polygon_all_active or polytope_same_type")
-        pairs = body.ridges[0]
+    if body.ridges.pattern is None:
+        pairs = body.ridges.pairs
         m = len(body.normals)
         facet = pairs.T.ravel()
         rows = np.concatenate([facet, np.arange(m)])
@@ -502,9 +502,9 @@ def _facet_pattern(body):
         scatter = np.argsort(cols * m + rows)
         indptr = np.zeros(m + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
-        body._pattern = (facet, *_ridge_angles(body.normals, *pairs.T), indptr,
-                         rows[scatter].astype(np.intc), scatter)
-    return body._pattern
+        body.ridges.pattern = (facet, *_ridge_angles(body.normals, *pairs.T),
+                               indptr, rows[scatter].astype(np.intc), scatter)
+    return body.ridges.pattern
 
 
 def _facet_matrix(body, diag, coef):
@@ -512,7 +512,7 @@ def _facet_matrix(body, diag, coef):
     facet, inv_sin, cos, indptr, indices, scatter = _facet_pattern(body)
     off = inv_sin  # times the ridge's measure, 1 in the plane
     if body.dim == 3:
-        ends = body.ridges[1]
+        ends = body.ridges.ends
         off = off * np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]],
                                    axis=1)
     on = -np.bincount(facet, np.tile(off * cos, 2), minlength=len(diag))
@@ -531,10 +531,9 @@ def facet_jacobian(body):
         dS_i/dh_i = -sum_j l_ij cot(theta_ij),
 
     with theta_ij the angle between the normals; facets that share no
-    ridge do not interact. Read off the ridges wulff_shape,
-    polygon_all_active or polytope_same_type recorded, with the per-ridge
-    1 / sin(theta_ij), cos(theta_ij) and sparsity pattern that
-    solve_facet_system assembles its n = 3 systems from.
+    ridge do not interact. Read off the body's ridge record, with the
+    per-ridge 1 / sin(theta_ij), cos(theta_ij) and sparsity pattern kept
+    in it, from which solve_facet_system assembles its n = 3 systems.
     """
     m = len(body.normals)
     return sparse.csr_matrix(_facet_matrix(body, np.zeros(m), 1.0), shape=(m, m))
@@ -545,14 +544,14 @@ def solve_facet_system(body, diag, coef, rhs):
 
     ``diag`` is an (m,) array and ``rhs`` an (m,) or (m, k) one, solved
     for every column at once. At n = 2 dS/dh is cyclic tridiagonal over
-    the active facets in the angular order of ``body.ridges``:
+    the active facets in the angular order of ``body.ridges.pairs``:
     1 / sin(theta) beside the diagonal and -(cot(theta_-) + cot(theta_+))
     on it. Taking that cycle as 0, m-1, 1, m-2, ... makes the system a
     band of half-width 2, solved by LAPACK's banded LU gbsv, and an
     inactive facet's row is ``diag`` alone. At n = 3 the matrix is
     symmetric and its sparsity pattern is fixed while the ridges hold:
     each call computes only the ridge lengths and the values, scatters
-    them onto the pattern facet_jacobian reads (kept with the body), and
+    them onto the pattern facet_jacobian reads (kept in the record), and
     SuperLU factors the result in symmetric mode, ordered by minimum
     degree on A + A^T, with its default threshold pivoting, which keeps
     the indefinite systems of the descent safe. Returns NaN in every
@@ -570,7 +569,7 @@ def solve_facet_system(body, diag, coef, rhs):
                 X = np.nan  # SuperLU refuses an exactly singular matrix
         else:
             # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
-            a, b = body.ridges[0].T
+            a, b = body.ridges.pairs.T
             m = len(a)
             off, cos = _ridge_angles(body.normals, a, b)
             cot = off * cos
@@ -645,10 +644,10 @@ def body_to_off(body):
     Each facet is fanned from its lowest-index vertex over its own edges, and
     each triangle faces along the facet's outer normal: 2V - 4 triangles in all.
     """
-    if body.dim != 3 or body.ridges is None:
-        raise GeometryError("OFF export needs a 3-dimensional body built by wulff_shape")
+    if body.dim != 3:
+        raise GeometryError("OFF export needs a 3-dimensional body")
     # every ridge is an edge of both its facets
-    facet, (a, b) = body.ridges[0].T.ravel(), np.tile(body.ridges[1].T, 2)
+    facet, (a, b) = body.ridges.pairs.T.ravel(), np.tile(body.ridges.ends.T, 2)
     apex = np.full(len(body.normals), len(body.vertices))
     np.minimum.at(apex, facet, np.minimum(a, b))
     tri = np.column_stack([apex[facet], a, b])

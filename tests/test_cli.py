@@ -650,14 +650,21 @@ def test_solve_dipole_on_a_fine_grid_converges(tmp_path, resolution, l1):
 
 
 def test_reports_are_byte_reproducible(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    for out in (out1, out2):
-        assert run_cli(["solve", "--n", "2", "--p", "0.5", "--c", "2",
-                        "--resolution", "128", "--output-dir", str(out)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
-    assert (out1 / "body.json").read_bytes() == (out2 / "body.json").read_bytes()
+    # at n = 3 the N = 500 dipole's body.off is read off its ridge record
+    dipole3 = tmp_path / "dipole3.json"
+    dipole3.write_text(json.dumps({"n": 3, "p": 0.5, "grid": {"resolution": 500},
+                                   "measure": {"density": "dipole", "params": {"a": 0.3}}}))
+    cases = [(["--n", "2", "--p", "0.5", "--c", "2", "--resolution", "128"],
+              ["report.json", "residuals.csv", "body.json"]),
+             (["--config", str(dipole3)],
+              ["report.json", "residuals.csv", "body.json", "body.off"])]
+    for k, (args, files) in enumerate(cases):
+        out1 = tmp_path / ("a%d" % k)
+        out2 = tmp_path / ("b%d" % k)
+        for out in (out1, out2):
+            assert run_cli(["solve", *args, "--output-dir", str(out)]) == 0
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 #: the 4-node circle's nodes as atoms of unit mass

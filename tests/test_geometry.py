@@ -121,7 +121,7 @@ def test_facet_jacobian_matches_central_differences(dim, k, seed, margin):
     assume(np.all(body.facet_areas[active] > reach[active]))
     assume(np.all(offsets[~active] - body.support_values[~active] > 10 * d))
     if dim == 3:
-        ends = body.ridges[1]
+        ends = body.ridges.ends
         assume(np.min(np.linalg.norm(body.vertices[ends[:, 0]]
                                      - body.vertices[ends[:, 1]], axis=1))
                > reach.max())
@@ -138,14 +138,10 @@ def test_facet_jacobian_of_square_and_bare_body():
     body = wulff_shape(2, SQUARE_NORMALS, np.ones(4))
     assert facet_jacobian(body).toarray() == pytest.approx(
         np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]))
-    bare = Body(2, body.normals, body.offsets, body.vertices, body.facet_areas,
-                body.volume, body.centroid, body.support_values)
-    with pytest.raises(GeometryError):
-        facet_jacobian(bare)
-
-
-def _ridge_set(body):
-    return {tuple(pair) for pair in np.sort(body.ridges[0], axis=1).tolist()}
+    # a body without a ridge record cannot be built
+    with pytest.raises(TypeError):
+        Body(2, body.normals, body.offsets, body.vertices, body.facet_areas,
+             body.volume, body.centroid, body.support_values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,10 +188,10 @@ def test_solve_facet_system_matches_a_dense_solve(n, seed, inactive, columns, ne
                     np.zeros(n))
             except WulffError:
                 assume(False)
-            assert body._pattern is solved._pattern
+            assert body.ridges is solved.ridges and body.ridges.pattern is not None
         else:
             body = wulff_shape(n, U, offsets(inactive))
-            assert body._pattern is None and _ridge_set(body) != _ridge_set(solved)
+            assert body.ridges.pattern is None and _ridge_set(body) != _ridge_set(solved)
     assert inactive == bool(np.any(body.facet_areas == 0))
     jacobian = facet_jacobian(body).toarray()
     # the pattern read is the body's own: one entry above the diagonal per ridge
@@ -294,7 +290,7 @@ def test_polygon_all_active_errors():
 
 
 def _ridge_set(body):
-    return set(map(tuple, np.sort(body.ridges[0], axis=1).tolist()))
+    return set(map(tuple, np.sort(body.ridges.pairs, axis=1).tolist()))
 
 
 def _all_active_polytope(seed, grid_size):
@@ -342,7 +338,7 @@ def test_polytope_same_type_refuses_an_edge_flip():
     # moves that end along the ridge; past the other end the ridge is gone
     # and facets k and l, the third at the other end, meet instead
     body = _all_active_polytope(3, 0)
-    pairs, ends = body.ridges
+    pairs, ends = body.ridges.pairs, body.ridges.ends
     lengths = np.linalg.norm(body.vertices[ends[:, 0]] - body.vertices[ends[:, 1]], axis=1)
     r = np.argmin(lengths)
     (i, j), (a, b) = pairs[r], ends[r]
@@ -369,7 +365,7 @@ def test_polytope_same_type_refuses_an_edge_flip():
 def test_polytope_same_type_refuses_a_vertex_of_degree_four():
     signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
     octahedron = wulff_shape(3, signs / np.sqrt(3), np.ones(8))
-    assert np.all(np.bincount(octahedron.ridges[1].ravel()) == 4)
+    assert np.all(np.bincount(octahedron.ridges.ends.ravel()) == 4)
     for offsets in (np.ones(8), np.linspace(1.0, 1.1, 8)):
         with pytest.raises(WulffError):
             polytope_same_type(octahedron, offsets, np.zeros(3))
@@ -395,6 +391,37 @@ def test_polytope_same_type_errors():
     with pytest.raises(GeometryError):
         polytope_same_type(wulff_shape(2, SQUARE_NORMALS, np.ones(4)),
                            np.ones(4), np.zeros(2))
+
+
+def test_bodies_of_one_type_share_its_ridge_record(monkeypatch):
+    # scaled, translated and polytope_same_type bodies hold their input's
+    # record, so the type and pattern one of them computes serve them all;
+    # embedded builds a record of its own, re-indexed
+    body = _all_active_polytope(0, 100)
+    kin = [body.scaled(2.0), body.translated([0.1, -0.2, 0.05]),
+           polytope_same_type(body, 1.01 * body.offsets, np.zeros(3))]
+    assert all(k.ridges is body.ridges for k in kin)
+    assert body.ridges.pattern is None and kin[2].ridges.simple_type is not None
+    jacobians = [facet_jacobian(k).toarray() for k in kin]
+    pattern, simple_type = body.ridges.pattern, body.ridges.simple_type
+
+    def refuse(*args):
+        raise AssertionError("a ridge pattern was computed twice")
+
+    monkeypatch.setattr(geometry, "_ridge_angles", refuse)
+    reference = facet_jacobian(body).toarray()
+    size = np.abs(reference).max()
+    # dS/dh scales as lam^(n-2) and is unchanged by a translation
+    assert np.abs(jacobians[0] - 2.0 * reference).max() <= 1e-12 * size
+    assert np.abs(jacobians[1] - reference).max() <= 1e-12 * size
+    again = polytope_same_type(kin[0], 2.02 * body.offsets, np.zeros(3))
+    assert again.ridges is body.ridges
+    assert body.ridges.pattern is pattern and body.ridges.simple_type is simple_type
+    m = len(body.normals)
+    wide = body.embedded(np.vstack([-body.normals[:2], body.normals]), np.arange(2, m + 2))
+    assert wide.ridges is not body.ridges and wide.ridges.pattern is None
+    assert np.array_equal(wide.ridges.pairs, body.ridges.pairs + 2)
+    assert wide.ridges.ends is body.ridges.ends
 
 
 def test_circumscribed_polytope_matches_ball(grid3):
@@ -657,10 +684,10 @@ def test_off_triangles_lie_in_their_facets_facing_out(off_meshes):
 
 def test_off_export_needs_recorded_ridges():
     C = wulff_shape(3, CUBE_NORMALS, np.ones(6))
-    bare = Body(3, C.normals, C.offsets, C.vertices, C.facet_areas, C.volume,
-                C.centroid, C.support_values)
-    with pytest.raises(GeometryError):
-        body_to_off(bare)
+    # every body carries its ridges: one without a record cannot be built
+    with pytest.raises(TypeError):
+        Body(3, C.normals, C.offsets, C.vertices, C.facet_areas, C.volume,
+             C.centroid, C.support_values)
     with pytest.raises(GeometryError):
         body_to_off(wulff_shape(2, SQUARE_NORMALS, np.ones(4)))
 

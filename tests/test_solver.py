@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 
 import numpy as np
@@ -16,9 +17,9 @@ from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete, symmetrize_hemisphere)
 from lpmink import cli, geometry, solver
-from lpmink.solver import (FINISH_TOL, SolveOptions, SolverError, el_residual,
-                           evaluate_offsets, minimize_fixed_eps, newton_finish,
-                           solve, verify)
+from lpmink.solver import (FINISH_TOL, LineSearchError, SolveOptions, SolverError,
+                           el_residual, evaluate_offsets, minimize_fixed_eps,
+                           newton_finish, solve, verify)
 from lpmink.sphere import DirectionGrid, build_grid, sphere_area, unit_ball_volume
 
 
@@ -262,13 +263,48 @@ def test_solve_ball_scaling_law(grid2, p, c):
     assert report.residual_l1 <= 0.02
 
 
-def test_solve_scale_consistency(grid2):
+#: the dipole 1 + 0.4<u, e1> in the plane and a density with no symmetry in space
+_SCALE_DENSITIES = {
+    2: lambda U: 1 + 0.4 * U[:, 0],
+    3: lambda U: 1 + 0.3 * U[:, 0] + 0.2 * U[:, 1] * U[:, 2] + 0.1 * U[:, 2] ** 2,
+}
+
+
+def _scale_deviation(grid, p, c):
+    """max |h_c / (c^(1/(n-p)) h_1) - 1| over the solves of mass 1 and mass c."""
+    f = _SCALE_DENSITIES[grid.dim]
+    M1, report = solve(density_measure(f, grid), p)
+    assert report.converged
+    Mc, report = solve(density_measure(lambda U: c * f(U), grid), p)
+    assert report.converged
+    ratio = Mc.support_values / (c ** (1.0 / (grid.dim - p)) * M1.support_values)
+    return float(np.max(np.abs(ratio - 1.0)))
+
+
+def test_solve_scale_consistency(grid2, grid3):
     p = -0.5
     M1, _ = solve(uniform_measure(grid2, 1.3), p)
     M2, _ = solve(uniform_measure(grid2, 2.6), p)
     factor = 2.0 ** (1.0 / (2 - p))
     ratio = M2.support_values / M1.support_values
     assert np.allclose(ratio, factor, rtol=0.02)
+    # the body for mass c is c^(1/(n-p)) times the body for mass 1, to
+    # rounding, over eighteen decades of mass
+    for grid, p, c in itertools.product((grid2, grid3), (0.5, -1.0),
+                                        (1e-6, 1e-3, 1e3, 1e6, 1e12)):
+        assert _scale_deviation(grid, p, c) <= 1e-12, (grid.dim, p, c)
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(1e-9, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 11: the descent ends unconverged at l1 1.2e-6")),
+    pytest.param(1e-20, marks=pytest.mark.xfail(
+        raises=LineSearchError, strict=True,
+        reason="ROADMAP item 11: the descent's line search underflows")),
+])
+def test_solve_scale_consistency_at_extreme_masses(grid2, c):
+    assert _scale_deviation(grid2, 0.5, c) <= 1e-12
 
 
 def test_solve_n3_ball(grid3):
@@ -738,6 +774,47 @@ def test_solve_dipole_at_p_0_99_reproduces_the_measure(grid2):
     assert report.converged
     assert report.residual_l1 <= 1e-9
     assert verify(M, mu, 0.99)[0] <= 1e-9
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 2: the N = 256 dipole ends unconverged at l1 "
+                          "0.19 after 9 finish attempts; p = 0.993 converged before "
+                          "the descent took preconditioned steps")
+@pytest.mark.parametrize("p", [0.992, 0.993])
+def test_solve_dipole_just_above_p_0_99(grid2, p):
+    mu = density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2)
+    M, report = solve(mu, p)
+    assert report.converged and report.residual_l1 <= 1e-9
+
+
+def test_line_search_underflow_carries_the_last_iterate(grid2, tmp_path, monkeypatch):
+    # every trial after the start fails to build, so both searches of the
+    # first step run out of halvings; the dipole at p = 0.9 is not finished
+    # from the start, so the descent takes that step
+    accepted = []
+    real = solver.evaluate_offsets
+
+    def start_only(*args, **kwargs):
+        if accepted:
+            raise WulffError("a refused trial")
+        accepted.append(real(*args, **kwargs))
+        return accepted[0]
+
+    monkeypatch.setattr(solver, "evaluate_offsets", start_only)
+    with pytest.raises(LineSearchError, match="at iteration 1 ") as failure:
+        solve(density_measure(lambda U: 1 + 0.4 * U[:, 0], grid2), 0.9)
+    assert failure.value.body is accepted[0][0]
+    assert failure.value.body.volume == pytest.approx(1.0, rel=1e-12)
+    # the CLI writes the error report alone and exits 3
+    accepted.clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "p": 0.9, "grid": {"resolution": 256},
+                               "measure": {"density": "dipole", "params": {"a": 0.4}}}))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--output-dir", str(out)]) == 3
+    assert [path.name for path in out.iterdir()] == ["report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert report == {"command": "solve", "error": str(failure.value)}
 
 
 @settings(max_examples=60, deadline=None)
