@@ -28,7 +28,6 @@ and its polytopes the second while their ridges hold.
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import splu
 from scipy.spatial import ConvexHull, QhullError
 
 from lpmink.sphere import unit_ball_volume
@@ -560,6 +559,7 @@ def solve_facet_system(body, diag, coef, rhs):
     """
     with np.errstate(all="ignore"):
         if body.dim == 3:
+            from scipy.sparse.linalg import splu  # SuperLU loads at the first system
             m = len(diag)
             M = sparse.csc_matrix(_facet_matrix(body, diag, coef), shape=(m, m))
             try:

@@ -11,8 +11,9 @@ continuation drives eps to zero and the final body is rescaled by the
 multiplier to match the prescribed measure. A damped Newton finish on the
 unregularized discrete equation h^(1-p) S = mu, tried at checkpoints of the
 descent, replaces the rest of the continuation once it succeeds, and only
-its success makes a solve converged. EL_TOL and EPS0 steer the descent
-alone; the options a caller sets are SolveOptions' max_iter and stages.
+its success makes a solve converged. An n = 3 descent starts from its
+grid's unit_offset_body. EL_TOL and EPS0 steer the descent alone; the
+options a caller sets are SolveOptions' max_iter and stages.
 """
 
 import logging
@@ -145,18 +146,21 @@ def _score(body, measure, profile, x0):
     return xi, energy, r, lambda_eps
 
 
-def evaluate_offsets(measure, profile, h, xi0=None):
+def evaluate_offsets(measure, profile, h, xi0=None, raw=None):
     """Build the volume-normalized Wulff shape at offsets h and score it.
 
     Returns (body, xi, energy, r, lambda_eps) where the body has volume one
     and the rest is its _score: xi its optimal center, energy
     Phi_eps(body, xi) as optimal_center evaluated it, and (r, lambda_eps)
-    the Euler-Lagrange data at the iterate. The body is not validated:
+    the Euler-Lagrange data at the iterate. A given ``raw``, the shape
+    before the rescale (from the default unit offsets at n = 3, the grid's
+    unit_offset_body), is not rebuilt. The body is not validated:
     minimize_fixed_eps validates the one it returns.
     """
     grid = measure.grid
-    raw = wulff_shape(grid.dim, grid.nodes, np.asarray(h, dtype=float),
-                      validate=False, interior_hint=xi0)
+    if raw is None:
+        raw = wulff_shape(grid.dim, grid.nodes, np.asarray(h, dtype=float),
+                          validate=False, interior_hint=xi0)
     body = raw.scaled(raw.volume ** (-1.0 / grid.dim))
     return (body, *_score(body, measure, profile, xi0))
 
@@ -401,7 +405,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     receives the energy of every accepted iterate, in order. ``xi0`` warm
     starts the first center computation (continuation stages reuse the
     previous stage's center); from the default unit offsets it defaults
-    to the origin.
+    to the origin, and at n = 3 the grid's unit_offset_body is the start.
 
     ``finish(body, xi, lambda_eps, last) -> bool`` is called at
     checkpoints: the first iterate with max |r| <= 0.1 lambda_eps, the
@@ -412,23 +416,25 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     """
     opts = opts or SolveOptions()
     finish = finish or (lambda body, xi, lambda_eps, last: False)
+    raw = None
     if h0 is None:
         # every unit-offset plane is at distance 1 from the origin, which
         # makes the origin the interior hint
         h = np.ones(len(measure.grid))
         if xi0 is None:
             xi0 = np.zeros(measure.dim)
+            # n = 2 rebuilds it: a cache would leave solve2d's traced Qhull idle
+            raw = measure.grid.unit_offset_body if measure.dim == 3 else None
     else:
         h = np.asarray(h0, dtype=float).copy()
 
-    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0)
+    body, xi, energy, r, lam = evaluate_offsets(measure, profile, h, xi0=xi0, raw=raw)
     if energy_trace is not None:
         energy_trace.append(energy)
     h = body.support_values.copy()
     direction = measure.orbit_average(r)
     eta = 0.1 * max(np.max(np.abs(h)), 1.0) / max(np.max(np.abs(direction)), 1e-300)
-    prev_h = None
-    prev_dir = None
+    prev_h = prev_dir = None
     # accepted preconditioned and gradient steps
     taken = [0, 0]
 
@@ -573,9 +579,7 @@ def solve(measure, p, opts=None):
                               "symmetrize the measure first (lpmink symmetrize)")
 
     finisher = _Finisher(sub, p)
-    h = None
-    body = None
-    xi = None
+    h = xi = None
     for k in range(opts.stages):
         eps_k = EPS0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)

@@ -5,6 +5,8 @@ package: spherical measures live as weighted atoms on grid directions, and
 convex bodies are built as halfspace intersections over grid normals.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import gamma
@@ -50,6 +52,9 @@ class DirectionGrid:
         Unit direction vectors.
     weights : ndarray, shape (N,)
         Positive quadrature weights; they sum to the total sphere area.
+    unit_offset_body : Body
+        The n = 3 descent's start, wulff_shape(n, nodes, ones, validate=False,
+        interior_hint=0); built at first use, its own arrays read-only.
     """
 
     def __init__(self, dim, nodes, weights):
@@ -110,6 +115,17 @@ class DirectionGrid:
             idx.flags.writeable = False
             self._permutations[key] = idx
         return self._permutations[key]
+
+    @cached_property
+    def unit_offset_body(self):
+        """The grid's unit-offset Wulff shape; its normals are the grid's nodes."""
+        from lpmink.geometry import wulff_shape  # geometry imports this module
+        body = wulff_shape(self.dim, self.nodes, np.ones(len(self)),
+                           validate=False, interior_hint=np.zeros(self.dim))
+        for a in (*vars(body).values(), *vars(body.ridges).values()):
+            if isinstance(a, np.ndarray) and a is not self.nodes:
+                a.flags.writeable = False
+        return body
 
     def min_node_angle(self):
         """Smallest pairwise angular distance between nodes."""

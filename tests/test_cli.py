@@ -174,6 +174,23 @@ def test_no_lp_refuses_the_lps_imported_where_they_run(no_lp):
         measures._positive_hull_lp(square)
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_cli_loads_neither_superlu_nor_highs():
+    # a fresh interpreter: SuperLU loads at the first n = 3 facet system
+    # and HiGHS at the first LP, not with the CLI
+    probe = ("import json, sys, lpmink.cli; print(json.dumps(["
+             "m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.optimize')]))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env(), check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False]
+
+
 _LP_PROBE = """
 import json, sys
 from lpmink import cli
@@ -202,11 +219,8 @@ def test_highs_loads_at_the_first_lp(tmp_path):
         path.write_text(json.dumps(cfg))
         argvs.append([command, "--config", str(path),
                       "--output-dir", str(tmp_path / ("out%d" % i))])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _LP_PROBE, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_src_env(), check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == [False, [0, False], [0, False], [0, False], [0, True]]
 

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -12,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 from conftest import dihedral_group, random_polygon
 from lpmink.energy import (EnergyProfile, ProfileError, build_profile, energy,
                            optimal_center)
-from lpmink.geometry import WulffError, lp_surface_area_measure, wulff_shape
+from lpmink.geometry import WulffError, body_to_off, lp_surface_area_measure, wulff_shape
 from lpmink.identities import ellipsoid_model
 from lpmink.measures import (HypothesisError, SphericalMeasure, density_measure,
                              smooth_discrete, symmetrize_hemisphere)
@@ -295,16 +297,26 @@ def test_solve_scale_consistency(grid2, grid3):
         assert _scale_deviation(grid, p, c) <= 1e-12, (grid.dim, p, c)
 
 
-@pytest.mark.parametrize("c", [
-    pytest.param(1e-9, marks=pytest.mark.xfail(
+@pytest.mark.parametrize("n, p, c", [
+    pytest.param(2, 0.5, 1e-9, marks=pytest.mark.xfail(
         raises=AssertionError, strict=True,
         reason="ROADMAP item 11: the descent ends unconverged at l1 1.2e-6")),
-    pytest.param(1e-20, marks=pytest.mark.xfail(
+    pytest.param(2, 0.5, 1e-20, marks=pytest.mark.xfail(
         raises=LineSearchError, strict=True,
         reason="ROADMAP item 11: the descent's line search underflows")),
+    pytest.param(2, -1.0, 1e-20, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 11: the solve ends unconverged at l1 5.9e-9")),
+    pytest.param(3, 0.5, 1e-20, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 11: the solve ends unconverged at l1 1.1e-8")),
+    (3, 0.5, 1e-9),
+    (3, -1.0, 1e-9),
+    (3, -1.0, 1e-20),
 ])
-def test_solve_scale_consistency_at_extreme_masses(grid2, c):
-    assert _scale_deviation(grid2, 0.5, c) <= 1e-12
+def test_solve_scale_consistency_at_extreme_masses(grid2, grid3, n, p, c):
+    grid = {2: grid2, 3: grid3}[n]
+    assert _scale_deviation(grid, p, c) <= 1e-12
 
 
 def test_solve_n3_ball(grid3):
@@ -915,9 +927,10 @@ def _finish_states():
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0])
-def test_n3_finish_keeps_the_descent_type_without_a_hull(grid3, monkeypatch, p):
-    # the descent's first body is the one hull of the solve: the finish
-    # starts from it scaled, and every later state keeps its ridges
+def test_n3_finish_keeps_the_descent_type_without_a_hull(monkeypatch, p):
+    # the descent's first body, the grid's unit-offset body, is the one
+    # hull of the grid: the finish starts from it scaled, every later state
+    # keeps its ridges, and a second solve on the grid reuses it
     hulls = []
     hull = geometry.ConvexHull
 
@@ -925,12 +938,69 @@ def test_n3_finish_keeps_the_descent_type_without_a_hull(grid3, monkeypatch, p):
         hulls.append(args)
         return hull(*args, **kwargs)
 
-    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid3)
+    grid = build_grid(3, 500)
+    mu = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid)
     monkeypatch.setattr(geometry, "ConvexHull", counted)
-    M, report = solve(mu, p)
-    assert report.converged and report.newton_steps == 3
-    assert report.residual_l1 <= FINISH_TOL
-    assert len(hulls) == 1
+    for q, expected in ((p, 1), (-1.0 - p, 0)):
+        hulls.clear()
+        M, report = solve(mu, q)
+        assert report.converged and report.newton_steps == 3
+        assert report.residual_l1 <= FINISH_TOL
+        assert len(hulls) == expected, q
+
+
+def _digest(M, report):
+    """SHA-256 of a solve's Body.to_dict, SolveReport.to_dict and, at n = 3, OFF mesh."""
+    text = json.dumps([M.to_dict(), report.to_dict()])
+    if M.dim == 3:
+        text += body_to_off(M)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_the_grids_start_body_changes_no_result(monkeypatch):
+    # n = 3 solves with the unit-offset start body built anew for each
+    # solve, then on the same grids, which keep theirs: the dipole and a
+    # density without symmetry, a measure with zero-mass nodes (solved on
+    # a fresh sub-grid) and a measure with a group on a grid built with it
+    mats = [np.eye(3), -np.eye(3)]
+    grid, sym = build_grid(3, 500), build_grid(3, 60, symmetry=mats)
+    zeros = density_measure(lambda U: 1 + 0.3 * U[:, 0], grid).masses
+    zeros[::7] = 0.0
+    even = density_measure(lambda U: 1 + 0.3 * U[:, 0] ** 2 * U[:, 1] ** 2, sym)
+    measures = [density_measure(lambda U: 1 + 0.3 * U[:, 0], grid),
+                density_measure(_SCALE_DENSITIES[3], grid),
+                SphericalMeasure(grid, zeros),
+                SphericalMeasure(sym, even.masses, group=mats)]
+    cases = [(mu, p) for mu in measures for p in (0.5, 0.0, -1.0)]
+    with monkeypatch.context() as m:
+        m.setattr(DirectionGrid, "unit_offset_body", property(
+            lambda g: wulff_shape(3, g.nodes, np.ones(len(g)), validate=False,
+                                  interior_hint=np.zeros(3))))
+        before = [_digest(*solve(mu, p)) for mu, p in cases]
+    assert "unit_offset_body" not in vars(grid)
+    for _ in range(2):
+        assert [_digest(*solve(mu, p)) for mu, p in cases] == before
+    # the grid kept its start body, and a write into it raises
+    body = vars(grid)["unit_offset_body"]
+    assert grid.unit_offset_body is body
+    for a in (body.offsets, body.vertices, body.facet_areas, body.centroid,
+              body.support_values, body.ridges.pairs, body.ridges.ends):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # an explicit xi0 builds its own start from unit offsets
+    starts = []
+
+    def counted(dim, normals, offsets, **kwargs):
+        starts.append(np.all(offsets == 1.0))
+        return wulff_shape(dim, normals, offsets, **kwargs)
+
+    monkeypatch.setattr(solver, "wulff_shape", counted)
+    profile = build_profile(0.5, 3, 0.1)
+    solver.minimize_fixed_eps(measures[0], profile, SolveOptions(max_iter=0),
+                              xi0=np.zeros(3))
+    assert starts == [True]
+    solver.minimize_fixed_eps(measures[0], profile, SolveOptions(max_iter=0))
+    assert starts == [True]
 
 
 def test_newton_step_matches_the_general_solve():
@@ -983,7 +1053,7 @@ def test_newton_finish_ends_on_an_exactly_singular_step(monkeypatch):
     J += np.eye(6)
     assert np.linalg.matrix_rank(J) == 4
     refused = []
-    splu = geometry.splu
+    splu = scipy.sparse.linalg.splu
 
     def counted(*args, **kwargs):
         try:
@@ -992,7 +1062,8 @@ def test_newton_finish_ends_on_an_exactly_singular_step(monkeypatch):
             refused.append(args)
             raise
 
-    monkeypatch.setattr(geometry, "splu", counted)
+    # solve_facet_system imports splu from its module at each n = 3 call
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     assert np.all(np.isnan(solver._newton_step(body, 0.0, np.ones(6))))
     assert newton_finish(mu, 0.0, h) is None
     assert len(refused) == 2
