@@ -48,27 +48,33 @@ def chebyshev_center(normals, offsets):
     """Largest inscribed ball center of {x : <x, u_i> <= h_i}.
 
     Returns (center, radius). Raises WulffError when the feasible set is
-    empty, has empty interior, or is detectably unbounded.
+    empty, has empty interior (radius at most 1e-12 max|h|), or is
+    detectably unbounded. HiGHS's tolerances are absolute and it reads
+    1e20 as infinite, so the LP is solved in a frame where max|h| is near
+    1: the offsets are divided by 2^(32 round(log2(max|h|) / 32)) and the
+    center and radius multiplied back. A power of two scales exactly, and
+    it is 1 whenever max|h| lies in (2^-16, 2^16).
     """
     from scipy.optimize import linprog  # HiGHS loads at the first LP
 
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     m, n = normals.shape
+    size = float(np.max(np.abs(offsets)))
+    frame = 2.0 ** (32 * round(np.log2(size) / 32)) if size > 0 else 1.0
     c = np.zeros(n + 1)
     c[-1] = -1.0
     A_ub = np.hstack([normals, np.ones((m, 1))])
     bounds = [(None, None)] * n + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=offsets, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=offsets / frame, bounds=bounds, method="highs")
     if res.status == 2:
         raise WulffError("empty halfspace intersection")
     if res.status == 3:
         raise WulffError("unbounded halfspace intersection")
     if not res.success:
         raise WulffError("Chebyshev LP failed: %s" % res.message)
-    center, radius = res.x[:n], res.x[n]
-    scale = max(1.0, float(np.max(np.abs(offsets))))
-    if radius <= 1e-12 * scale:
+    center, radius = res.x[:n] * frame, res.x[n] * frame
+    if radius <= 1e-12 * size:
         raise WulffError("halfspace intersection has empty interior")
     return center, float(radius)
 
@@ -99,9 +105,9 @@ def _polygon(normals, shifted, a):
 
 
 def _shifted_about_hint(normals, offsets, center):
-    """offsets - <u_i, center>; WulffError unless each is above 1e-6 max(1, max|h|)."""
+    """offsets - <u_i, center>; WulffError unless each is above 1e-6 max|h|."""
     shifted = offsets - normals @ center
-    if not float(np.min(shifted)) > 1e-6 * max(1.0, float(np.max(np.abs(offsets)))):
+    if not float(np.min(shifted)) > 1e-6 * float(np.max(np.abs(offsets))):
         raise WulffError("interior hint is not inside the halfspaces")
     return shifted
 
@@ -213,8 +219,8 @@ class Body:
     def _check_invariants(self):
         if not self.volume > 0:
             raise GeometryError("body volume must be positive")
-        scale = max(1.0, float(np.max(np.abs(self.support_values))))
-        if np.any(self.support_values > self.offsets + 1e-10 * scale):
+        size = float(np.max(np.abs(self.support_values)))
+        if np.any(self.support_values > self.offsets + 1e-10 * size):
             raise GeometryError("support values exceed offsets")
         total_area = self.facet_areas.sum()
         closure = np.linalg.norm(self.facet_areas @ self.normals)
@@ -223,18 +229,13 @@ class Body:
         vol_id = abs(self.volume - (self.support_values @ self.facet_areas) / self.dim)
         if vol_id > 1e-8 * self.volume:
             raise GeometryError("volume identity V = (1/n) sum h S violated")
-        self._check_centroid_reflection()
-
-    def _check_centroid_reflection(self):
         # x in K implies (-1/n)(x - centroid) + centroid in K
         pts = self.vertices
         if len(pts) > _REFLECTION_SAMPLES:
-            idx = np.linspace(0, len(pts) - 1, _REFLECTION_SAMPLES).astype(int)
-            pts = pts[idx]
+            pts = pts[np.linspace(0, len(pts) - 1, _REFLECTION_SAMPLES).astype(int)]
         reflected = (-1.0 / self.dim) * (pts - self.centroid) + self.centroid
         slack = self.support_values[None, :] - reflected @ self.normals.T
-        scale = max(1.0, float(np.max(np.abs(self.support_values))))
-        if slack.min() < -_REFLECTION_TOL * scale:
+        if slack.min() < -_REFLECTION_TOL * size:
             raise GeometryError("centroid reflection point escapes the body")
 
     def support(self, u):
@@ -306,8 +307,7 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     every body handed back to callers is validated). The body is built
     about ``interior_hint`` when one is given, else about the Chebyshev
     center; a hint that is not inside every halfspace by at least
-    1e-6 max(1, max|h|) raises WulffError, as do non-finite normals or
-    offsets.
+    1e-6 max|h| raises WulffError, as do non-finite normals or offsets.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -334,8 +334,9 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     except QhullError as exc:
         raise WulffError("degenerate dual hull: %s" % exc) from exc
 
-    # origin must be interior to the dual hull, else the primal is unbounded
-    if np.max(dual_hull.equations[:, -1]) > -1e-12:
+    # origin must be interior to the dual hull, else the primal is unbounded:
+    # a vertex beyond 1e12 max(shifted) about the interior point counts so
+    if np.max(dual_hull.equations[:, -1]) > -1e-12 / np.max(shifted):
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
     vertices, facet_areas, volume, centroid, ridges = (
@@ -365,11 +366,10 @@ def polygon_all_active(normals, offsets, interior_hint):
     a polygon satisfies Body's invariants by construction, so they are not
     checked. The normals must be distinct unit vectors of the plane.
     WulffError is raised when an offset is non-finite, when
-    ``interior_hint`` is not inside every halfspace by at least
-    1e-6 max(1, max|h|), as in wulff_shape, when two normals adjacent in
-    angle are not apart by an angle in (0, pi), or when some edge has a
-    nonpositive signed length along its line, which is where a
-    constraint is inactive.
+    ``interior_hint`` is not inside every halfspace by at least 1e-6 max|h|,
+    as in wulff_shape, when two normals adjacent in angle are not apart by
+    an angle in (0, pi), or when some edge has a nonpositive signed length
+    along its line, which is where a constraint is inactive.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -446,7 +446,7 @@ def polytope_same_type(body, offsets, interior_hint):
     WulffError is raised when that combinatorial type does not hold: a
     facet of ``body`` is inactive or a vertex not simple, an offset is
     non-finite, the hint is not inside every halfspace by at least
-    1e-6 max(1, max|h|), as in wulff_shape, or a check fails.
+    1e-6 max|h|, as in wulff_shape, or a check fails.
     """
     if body.dim != 3:
         raise GeometryError("polytope_same_type needs a 3-dimensional body")
@@ -605,7 +605,7 @@ def lp_surface_area_measure(body, p):
     if p >= 1:
         raise GeometryError("lp_surface_area_measure requires p < 1")
     h = body.support_values
-    if np.min(h) < -1e-10 * max(1.0, float(np.max(np.abs(h)))):
+    if np.min(h) < -1e-10 * float(np.max(np.abs(h))):
         raise GeometryError("origin lies strictly outside the body")
     hc = np.maximum(h, 0.0)
     return np.where(body.facet_areas > 0.0, hc ** (1.0 - p) * body.facet_areas, 0.0)

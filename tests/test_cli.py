@@ -736,6 +736,51 @@ def test_verify_command(tmp_path):
     assert report["residual_l1"] <= 0.02
 
 
+@pytest.mark.parametrize("c", [1e-20, 1e40])
+def test_solve_and_verify_keep_the_scaling_law(tmp_path, c):
+    # the body for the const density c is c^(1/(2-p)) times the one for
+    # c = 1, and both commands read it at that size
+    assert run_cli(["solve", "--n", "2", "--p", "0.5", "--c", repr(c),
+                    "--output-dir", str(tmp_path)]) == 0
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"body_file": str(tmp_path / "body.json")}))
+    assert run_cli(["verify", "--config", str(cfg_path), "--n", "2", "--p", "0.5",
+                    "--c", repr(c), "--output-dir", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert report["residual_l1"] <= 1e-9
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("solve", {"n": 2, "p": 0.5, "measure": {"density": "const", "params": {"c": 0.0}}},
+     "const density requires c > 0"),
+    ("solve", {"n": 2, "p": 0.5, "measure": {"density": "dipole", "params": {"a": 1.0}}},
+     "dipole density requires |a| < 1"),
+    ("solve", {"n": 3, "p": 0.5, "grid": {"resolution": 100},
+               "measure": {"density": "arc"}},
+     "arc density is only defined for n = 2"),
+    ("solve", [{"n": 2}], "config root must be a JSON object"),
+    ("check", {"n": 2, "measure": {"atoms": [{"u": [0, 0], "mass": 1.0}]}},
+     "every atom needs a nonzero direction"),
+    ("check", {"n": 2, "measure": {"density": "cosine"}}, "unknown density 'cosine'"),
+    ("verify", {"n": 2, "p": 1.0, "body_file": "list.json",
+                "measure": {"density": "const"}},
+     "verify requires p in (-n, 1)"),
+    ("verify", {"n": 2, "p": 0.5, "body_file": "list.json",
+                "measure": {"density": "const"}},
+     "body file needs 'normals'"),
+    ("smooth", {"n": 2, "measure": {"density": "const"}},
+     "smooth requires an inline atomic measure"),
+])
+def test_malformed_configs_exit_1_with_their_message(tmp_path, capsys, monkeypatch,
+                                                     command, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    Path("list.json").write_text("[1]")
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", "cfg.json", "--output-dir", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 #: finite masses whose total overflows a double
 _OVERFLOWING_ATOMS = [{"u": [1, 0], "mass": 1e308}, {"u": [-1, 0], "mass": 1e308},
                       {"u": [0, 1], "mass": 1.0}, {"u": [0, -1], "mass": 1.0}]

@@ -518,6 +518,43 @@ def test_lp_measure_scaling_law():
     assert np.allclose(m2, lam ** (2 - p) * m1, rtol=1e-9, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.sampled_from([1e-30, 1e-15, 1e15, 1e19]), p=st.sampled_from([0.5, 0.0, -1.0]))
+def test_bodies_scale_with_their_offsets(dim, seed, s, p):
+    # every tolerance is relative to the body's size, so each builder at
+    # s h, with hint s x, gives s times its body at h, at any size
+    rng = np.random.default_rng(seed)
+    body = (random_polygon if dim == 2 else random_polytope)(rng)
+    active = body.facet_areas > 0
+    normals, offsets, x = body.normals[active], body.offsets[active], body.centroid
+    unit = wulff_shape(dim, normals, offsets)
+    if dim == 2:
+        def same_type(h, hint):
+            return polygon_all_active(normals, h, hint)
+    else:
+        def same_type(h, hint):
+            return polytope_same_type(unit, h, hint)
+    try:
+        ref = same_type(offsets, x)
+    except WulffError:
+        assume(False)  # a tie too close for the same-type check
+    pairs = [(unit, wulff_shape(dim, normals, s * offsets)),
+             (ref, same_type(s * offsets, s * x))]
+    size = np.max(np.abs(unit.vertices))
+    lp = lp_surface_area_measure(unit, p)
+    for base, scaled in pairs:
+        assert len(scaled.vertices) == len(base.vertices)
+        gaps = np.linalg.norm(scaled.vertices[:, None] / s - base.vertices[None], axis=2)
+        assert np.max(np.min(gaps, axis=1)) <= 1e-12 * size
+        assert scaled.volume == pytest.approx(s ** dim * base.volume, rel=1e-12)
+        assert np.all(np.abs(scaled.facet_areas / s ** (dim - 1) - base.facet_areas)
+                      <= 1e-12 * base.facet_areas.max())
+        assert np.all(np.abs(scaled.centroid / s - base.centroid) <= 1e-12 * size)
+        assert np.all(np.abs(lp_surface_area_measure(scaled, p) / s ** (dim - p) - lp)
+                      <= 1e-12 * lp.max())
+
+
 def test_lp_measure_rejects_bad_input():
     B = wulff_shape(2, SQUARE_NORMALS, np.ones(4))
     with pytest.raises(GeometryError):
@@ -703,6 +740,30 @@ def test_off_export_builds_no_hull(monkeypatch):
     for body in bodies:
         header = body_to_off(body).splitlines()[1]
         assert header == "%d %d 0" % (len(body.vertices), 2 * len(body.vertices) - 4)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-30])
+@pytest.mark.parametrize("message, doctor", [
+    pytest.param("body volume must be positive", lambda B: {"volume": 0.0},
+                 id="volume"),
+    pytest.param("support values exceed offsets",
+                 lambda B: {"offsets": B.offsets * [1 - 1e-6, 1, 1, 1]}, id="support"),
+    pytest.param("surface area measure barycenter is not zero",
+                 lambda B: {"facet_areas": B.facet_areas * [1.01, 1, 1, 1]}, id="closure"),
+    pytest.param("volume identity", lambda B: {"volume": B.volume * (1 + 1e-6)},
+                 id="volume-identity"),
+    # the reflection of the vertex (-1, 1) escapes once the centroid's
+    # first coordinate passes 1/3
+    pytest.param("centroid reflection point escapes the body",
+                 lambda B: {"centroid": B.centroid + [(1 / 3 + 1e-6) * B.offsets[0], 0.0]},
+                 id="reflection"),
+])
+def test_body_invariants_hold_at_every_size(scale, message, doctor):
+    # the unit square, or its copy scaled by 1e-30, with one field doctored
+    square = wulff_shape(2, SQUARE_NORMALS, np.ones(4)).scaled(scale)
+    Body(**vars(square))
+    with pytest.raises(GeometryError, match=message):
+        Body(**{**vars(square), **doctor(square)})
 
 
 def test_scaled_and_translated_consistency():
