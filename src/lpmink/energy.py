@@ -245,6 +245,14 @@ def energy(body, xi, measure, profile):
     return float(np.sum(profile.phi(t) * measure.masses))
 
 
+def _norm(g):
+    """|g|, as np.linalg.norm takes it, but on g / 2^e with max|g| / 2^e in
+    [1/2, 1): a power of two scales exactly, and squaring cannot overflow."""
+    e = np.frexp(np.abs(g).max())[1]
+    x = np.ldexp(g, -e)
+    return float(np.ldexp(np.sqrt(x.dot(x)), e))
+
+
 def optimal_center(body, measure, profile, x0=None):
     """Unique interior maximizer of xi -> Phi_eps(K, xi) by damped Newton.
 
@@ -286,7 +294,7 @@ def optimal_center(body, measure, profile, x0=None):
     fx, g, A = evaluate(xi)
     by_value = True  # accept on the value until it stops resolving progress
     for _ in range(CENTER_STEPS):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= CENTER_TOL * total:
             return xi, fx, gnorm, A
         if not np.all(np.isfinite(A)):
@@ -312,9 +320,9 @@ def optimal_center(body, measure, profile, x0=None):
                 if by_value:
                     # near the optimum the value gain drops below fp noise
                     if fc > fx or (fc >= fx - 1e-12 * (1.0 + abs(fx))
-                                   and float(np.linalg.norm(gc)) <= 0.5 * gnorm):
+                                   and _norm(gc) <= 0.5 * gnorm):
                         break
-                elif float(np.linalg.norm(gc)) < gnorm:
+                elif _norm(gc) < gnorm:
                     break
             step = 0.5 * step
         else:

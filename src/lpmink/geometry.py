@@ -98,7 +98,11 @@ def _polygon(normals, shifted, a):
     area = 0.5 * cross.sum()
     if area <= 0:
         raise WulffError("degenerate polygon (nonpositive area)")
-    centroid = cross @ (prev + vertices) / (6.0 * area)
+    # the moment is of order size^3 and underflows below a size of about
+    # 1e-103, so cross and area are first divided by a power of two near
+    # the area, which is exact
+    frame = np.ldexp(1.0, np.frexp(area)[1])
+    centroid = (cross / frame) @ (prev + vertices) / (6.0 * area / frame)
     facet_areas = np.zeros(len(normals))
     facet_areas[a] = np.hypot(*(vertices - prev).T)
     return vertices, facet_areas, area, centroid, Ridges(np.column_stack([a, b]))

@@ -9,9 +9,9 @@ trial where it does at least as well. Stationarity is the discrete
 Euler-Lagrange identity phi_eps'(h - <u, xi>) mu = lambda_eps S; the
 continuation drives eps to zero and the final body is rescaled by the
 multiplier to match the prescribed measure. A damped Newton finish on the
-unregularized discrete equation h^(1-p) S = mu, tried at checkpoints of the
-descent, replaces the rest of the continuation once it succeeds, and only
-its success makes a solve converged. An n = 3 descent starts from its
+unregularized discrete equation h^(1-p) S = mu, tried at every checkpoint
+of the descent, replaces the rest of the continuation once it succeeds, and
+only its success makes a solve converged. An n = 3 descent starts from its
 grid's unit_offset_body. EL_TOL and EPS0 steer the descent alone; the
 options a caller sets are SolveOptions' max_iter and stages.
 """
@@ -33,10 +33,8 @@ FINISH_TOL = 1e-10
 #: verify's residual_l1 up to which a finish whose Newton correction has
 #: reached the rounding level of the log-supports counts as converged
 FLOOR_TOL = 1e-8
-#: finish attempts at decade checkpoints per solve (the end of every stage
-#: is tried as well), Newton steps per attempt, and step halvings per line
-#: search; they bound what a finish that keeps failing can cost
-FINISH_ATTEMPTS = 4
+#: Newton steps per finish attempt and step halvings per line search; they
+#: bound what one failing attempt can cost
 FINISH_STEPS = 40
 FINISH_HALVINGS = 30
 #: support margin, relative to the mean, that makes every facet active
@@ -346,33 +344,6 @@ def _preconditioned_step(body, xi, measure, profile, r, lambda_eps):
         return (S @ xr) / (S @ xs) * xs - xr
 
 
-class _Finisher:
-    """Newton-finish attempts of one solve, from rescaled descent iterates.
-
-    Calling it with a volume-one iterate, its optimal center and its
-    multiplier starts Newton at the multiplier-rescaled body centered
-    there, which has the iterate's ridges; the first success,
-    newton_finish's (body, steps), is kept in ``result``, which ends the
-    solve. Past FINISH_ATTEMPTS attempts only a stage's last iterate is
-    tried.
-    """
-
-    def __init__(self, measure, p):
-        self.measure, self.p = measure, p
-        self.attempts = 0
-        self.result = None
-
-    def __call__(self, body, xi, lambda_eps, last):
-        if self.attempts >= FINISH_ATTEMPTS and not last:
-            return False
-        self.attempts += 1
-        lam = _multiplier_scale(lambda_eps, self.p, body.dim)
-        self.result = newton_finish(self.measure, self.p,
-                                    lam * (body.support_values - body.normals @ xi),
-                                    body)
-        return self.result is not None
-
-
 def minimize_fixed_eps(measure, profile, opts=None, h0=None,
                        energy_trace=None, xi0=None, finish=None):
     """Projected descent for the fixed-eps minimum body.
@@ -407,15 +378,14 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     previous stage's center); from the default unit offsets it defaults
     to the origin, and at n = 3 the grid's unit_offset_body is the start.
 
-    ``finish(body, xi, lambda_eps, last) -> bool`` is called at
-    checkpoints: the first iterate with max |r| <= 0.1 lambda_eps, the
-    first of each later decade, and the stage's last iterate, where
-    ``last`` is True. It must leave its arguments alone; when it returns
-    True the stage stops at that iterate. The descent itself does not
-    depend on it.
+    ``finish(body, xi, lambda_eps) -> bool`` is called at checkpoints:
+    the first iterate with max |r| <= 0.1 lambda_eps, the first of each
+    later decade, and the stage's last iterate, at most six calls in all.
+    It must leave its arguments alone; when it returns True the stage
+    stops at that iterate. The descent itself does not depend on it.
     """
     opts = opts or SolveOptions()
-    finish = finish or (lambda body, xi, lambda_eps, last: False)
+    finish = finish or (lambda body, xi, lambda_eps: False)
     raw = None
     if h0 is None:
         # every unit-offset plane is at distance 1 from the origin, which
@@ -470,10 +440,10 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
     for iterations in range(1, opts.max_iter + 1):
         res = float(np.max(np.abs(r)))
         if res <= EL_TOL * lam:
-            finish(body, xi, lam, True)
+            finish(body, xi, lam)
             return record(iterations - 1, res, True)
         if res <= checkpoint * lam:
-            if finish(body, xi, lam, False):
+            if finish(body, xi, lam):
                 return record(iterations - 1, res, False)
             checkpoint = min(0.1 * checkpoint,
                              10.0 ** np.floor(np.log10(res / lam)))
@@ -518,7 +488,7 @@ def minimize_fixed_eps(measure, profile, opts=None, h0=None,
                               % MAX_DIAMETER, body)
 
     res = float(np.max(np.abs(r)))
-    finish(body, xi, lam, True)
+    finish(body, xi, lam)
     return record(iterations, res, False)
 
 
@@ -535,16 +505,16 @@ def solve(measure, p, opts=None):
     A stage past the first that takes no descent step ends the schedule
     early: its warm start is already stationary at the smaller eps.
 
-    ``newton_finish`` is tried at the descent's checkpoints, from the
-    iterate rescaled this way about its optimal center: at most
-    FINISH_ATTEMPTS times before a stage's end, and at the end of every
-    stage. The first success ends the continuation: M is the finished
-    body, the report's last stage is the finish's record, the report's
-    ``newton_steps`` counts the finish's Newton steps and the solve
-    counts as converged. Only that success does: the attempts leave the
-    descent alone, so when all of them fail the result is the descent's,
-    bit for bit, and the report says it did not converge, however
-    stationary its stages.
+    ``newton_finish`` is tried at every checkpoint of the descent (see
+    minimize_fixed_eps), from the iterate rescaled this way about its
+    optimal center, which has the iterate's ridges; the report's
+    ``newton_attempts`` counts the attempts. The first success ends the
+    continuation: M is the finished body, the report's last stage is the
+    finish's record, the report's ``newton_steps`` counts the finish's
+    Newton steps and the solve counts as converged. Only that success
+    does: the attempts leave the descent alone, so when all of them fail
+    the result is the descent's, bit for bit, and the report says it did
+    not converge, however stationary its stages.
 
     Everything runs on the measure restricted to its support
     (``measure.on_support()``): at a zero mass h^(1-p) S = mu holds with
@@ -578,20 +548,29 @@ def solve(measure, p, opts=None):
         raise HypothesisError("the support lies in a closed hemisphere; "
                               "symmetrize the measure first (lpmink symmetrize)")
 
-    finisher = _Finisher(sub, p)
+    attempts, result = 0, None
+
+    def finish(body, xi, lambda_eps):
+        nonlocal attempts, result
+        attempts += 1
+        lam = _multiplier_scale(lambda_eps, p, n)
+        result = newton_finish(sub, p, lam * (body.support_values - body.normals @ xi),
+                               body)
+        return result is not None
+
     h = xi = None
     for k in range(opts.stages):
         eps_k = EPS0 * 2.0 ** (-k)
         profile = build_profile(p, n, eps_k)
         body, xi, record = minimize_fixed_eps(sub, profile, opts, h0=h,
-                                              xi0=xi, finish=finisher)
+                                              xi0=xi, finish=finish)
         report.stages.append(record)
-        if finisher.result is not None or (k > 0 and record.iterations == 0):
+        if result is not None or (k > 0 and record.iterations == 0):
             break
         h = body.support_values.copy()
 
-    if finisher.result is not None:
-        M, report.newton_steps = finisher.result
+    if result is not None:
+        M, report.newton_steps = result
         lam = M.volume ** (1.0 / n)
         lambda0 = lam ** n if p == 0 else abs(p) * lam ** (n - p)
         report.stages.append(_finish_record(M.scaled(1.0 / lam), sub, final))
@@ -601,10 +580,10 @@ def solve(measure, p, opts=None):
         lambda0 = report.stages[-1].lambda_eps
         lam = _multiplier_scale(lambda0, p, n)
         M = body.translated(-xi).scaled(lam)
-    report.newton_attempts = finisher.attempts
+    report.newton_attempts = attempts
     report.lambda0 = lambda0
     report.lam = float(lam)
-    report.converged = finisher.result is not None
+    report.converged = result is not None
 
     if sub is not measure:
         M = M.embedded(measure.grid.nodes, support)
