@@ -12,17 +12,21 @@ The ridges, one Ridges record that every body of a combinatorial type
 holds, are the one face structure that facet_jacobian and body_to_off
 read. solve_facet_system solves the systems diag(a) + c dS/dh of both of
 the solver's Newton steps from them, so dS/dh is computed only here. Its
-per-ridge data and sparsity pattern depend only on the normals and the
-ridges, so they are computed once per record and a Newton step at n = 3
-does only numeric work.
+per-ridge data, band (n = 2) and sparsity pattern (n = 3) depend only on
+the normals and the ridges, so they are computed once per record, and so
+is what a body's build needs beyond its offsets: a polygon's cycle of
+lines with the columns and determinants of adjacent normals, and a
+polytope's facet degrees and the planes of each simple vertex. A Newton
+step and a state of the finish then do only numeric work.
 
 A polygon whose every constraint is active needs no hull: sorted by
 angle, consecutive lines meet in its vertices (polygon_all_active). Nor
 does a polytope whose ridges are known and whose vertices are simple:
 each vertex follows from its three planes, and local convexity at every
 vertex shows the ridges still hold (polytope_same_type). The Newton
-finish, whose states are such bodies, builds its polygons the first way
-and its polytopes the second while their ridges hold.
+finish, whose states are such bodies, builds its polygons the first way,
+handing each one's record to the next, and its polytopes the second
+while their ridges hold.
 """
 
 import numpy as np
@@ -79,21 +83,42 @@ def chebyshev_center(normals, offsets):
     return center, float(radius)
 
 
-def _polygon(normals, shifted, a):
-    """Vertices, edge lengths, area, centroid and ridges of a polygon.
+def _frozen(*arrays):
+    """The arrays, made read-only: every body of a ridge record's type reads them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    ``a`` holds the active lines in counter-clockwise order; each cyclically
-    consecutive pair meets in a vertex, a ridge of measure 1. Coordinates
-    are relative to the interior point the offsets ``shifted`` are taken
-    about.
+
+def _cycle(normals, a):
+    """The ridge record of the polygon whose active lines ``a`` run counter-clockwise.
+
+    Line a[k] meets b[k] = a[k+1], cyclically, in vertex k, a ridge of
+    measure 1. The record's ``cycle`` keeps what _polygon needs beyond the
+    offsets, which depends only on the normals and ``a``: a and b, the
+    columns of u_a and u_b, det(u_a, u_b) and each vertex's predecessor.
     """
-    b = np.roll(a, -1)
-    ua, ub, sa, sb = normals[a], normals[b], shifted[a], shifted[b]
+    pairs = np.column_stack([a, np.roll(a, -1)])
+    a, b = pairs.T.copy()
+    ua, ub = normals[a], normals[b]
     det = ua[:, 0] * ub[:, 1] - ua[:, 1] * ub[:, 0]
-    vertices = np.column_stack([sa * ub[:, 1] - sb * ua[:, 1],
-                                sb * ua[:, 0] - sa * ub[:, 0]]) / det[:, None]
-    # the edge on line a[j] runs from vertex j-1 to vertex j
-    prev = np.roll(vertices, 1, axis=0)
+    ridges = Ridges(pairs)
+    ridges.cycle = _frozen(a, b, ua[:, 0], ua[:, 1], ub[:, 0], ub[:, 1], det,
+                           np.roll(np.arange(len(a)), 1))
+    return ridges
+
+
+def _polygon(shifted, ridges):
+    """Vertices, edge vectors, edge lengths, area and centroid of a polygon.
+
+    ``ridges`` is the polygon's record (_cycle). Edge j, on line a[j], runs
+    from vertex j-1 to vertex j. Coordinates are relative to the interior
+    point the offsets ``shifted`` are taken about.
+    """
+    a, b, ua0, ua1, ub0, ub1, det, before = ridges.cycle
+    sa, sb = shifted[a], shifted[b]
+    vertices = np.column_stack([sa * ub1 - sb * ua1, sb * ua0 - sa * ub0]) / det[:, None]
+    prev = vertices.take(before, axis=0)
     cross = prev[:, 0] * vertices[:, 1] - vertices[:, 0] * prev[:, 1]
     area = 0.5 * cross.sum()
     if area <= 0:
@@ -103,9 +128,10 @@ def _polygon(normals, shifted, a):
     # the area, which is exact
     frame = np.ldexp(1.0, np.frexp(area)[1])
     centroid = (cross / frame) @ (prev + vertices) / (6.0 * area / frame)
-    facet_areas = np.zeros(len(normals))
-    facet_areas[a] = np.hypot(*(vertices - prev).T)
-    return vertices, facet_areas, area, centroid, Ridges(np.column_stack([a, b]))
+    edges = vertices - prev
+    facet_areas = np.zeros(len(shifted))
+    facet_areas[a] = np.hypot(*edges.T)
+    return vertices, edges, facet_areas, area, centroid
 
 
 def _shifted_about_hint(normals, offsets, center):
@@ -121,18 +147,24 @@ def _facet_sums(facet, values, m):
     return np.stack([np.bincount(facet, col, minlength=m) for col in values.T], axis=1)
 
 
-def _fan(shifted, vertices, facet, a, b):
+def _fan(shifted, at, ridges):
     """Facet areas, volume and centroid of a polytope from its facets' edges.
 
-    Edge e of facet ``facet[e]`` joins vertices ``a[e]`` and ``b[e]``, and
-    every ridge is listed once for each of its two facets. Coordinates are
-    relative to the interior point the offsets ``shifted`` are taken about.
+    ``at`` (r, 2, 3) holds the end vertices of each ridge of the record
+    ``ridges``, and every ridge is an edge of both its facets. Coordinates
+    are relative to the interior point the offsets ``shifted`` are taken
+    about.
     """
     m = len(shifted)
+    facet = ridges.facet
+    a, b = np.concatenate([at, at]).transpose(1, 0, 2)
     # fan each facet about its vertex mean (every vertex ends two of its edges)
-    ends = vertices[a] + vertices[b]
-    mean = _facet_sums(facet, ends, m)[facet] / (2.0 * np.bincount(facet)[facet, None])
-    fan = 0.5 * np.linalg.norm(np.cross(vertices[a] - mean, vertices[b] - mean), axis=1)
+    ends = np.tile(at[:, 0] + at[:, 1], (2, 1))
+    mean = _facet_sums(facet, ends, m).take(facet, axis=0) / ridges.degree
+    # |(a - mean) x (b - mean)|, column by column
+    (x0, x1, x2), (y0, y1, y2) = (a - mean).T, (b - mean).T
+    c0, c1, c2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+    fan = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     facet_areas = np.bincount(facet, fan, minlength=m)
     moments = _facet_sums(facet, fan[:, None] * (ends + mean) / 3.0, m)
     # the cone over facet i has volume s_i S_i / 3 and its centroid 3/4 of
@@ -163,9 +195,8 @@ def _polytope_from_dual(shifted, dual_hull):
     edge = (f < g) & (vid[f] != vid[g])
     f, g, k = f[edge], g[edge], k[edge]
     facet = np.concatenate([tri[f, (k + 1) % 3], tri[f, (k + 2) % 3]])
-    a, b = np.tile(vid[f], 2), np.tile(vid[g], 2)
-    return (vertices, *_fan(shifted, vertices, facet, a, b),
-            Ridges(facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]])))
+    ridges = Ridges(facet.reshape(2, -1).T, np.column_stack([vid[f], vid[g]]))
+    return (vertices, *_fan(shifted, vertices[ridges.ends], ridges), ridges)
 
 
 class Ridges:
@@ -173,14 +204,26 @@ class Ridges:
 
     ``pairs`` (r, 2) are the facets (i, j) that meet in each ridge, a
     (dim-2)-face; ``ends`` (r, 2) index each ridge's two end vertices at
-    dim = 3 and are None in the plane, where a ridge is one vertex.
-    ``simple_type`` and ``pattern`` keep what _simple_type and
-    _facet_pattern compute once per record.
+    dim = 3 and are None in the plane, where a ridge is one vertex. At
+    dim = 3 ``facet`` lists the pairs' i's then their j's, the facet of
+    each edge _fan fans, and ``degree`` is twice the number of edges of
+    each such facet. A polygon's record keeps ``cycle`` (_cycle), and
+    ``angular`` says that polygon_all_active built it: its cycle is every
+    line in angular order, adjacent lines apart by an angle in (0, pi).
+    ``simple_type``, ``pattern`` and ``band`` keep what _simple_type,
+    _facet_pattern and _band compute once per record. Every array a
+    record holds is read-only: the bodies of its type share them.
     """
 
     def __init__(self, pairs, ends=None):
         self.pairs, self.ends = pairs, ends
-        self.simple_type = self.pattern = None
+        self.simple_type = self.pattern = self.band = self.cycle = None
+        self.angular = False
+        _frozen(pairs)
+        if ends is not None:
+            self.facet = pairs.T.ravel()
+            self.degree = 2.0 * np.bincount(self.facet)[self.facet, None]
+            _frozen(ends, self.facet, self.degree)
 
 
 class Body:
@@ -203,7 +246,8 @@ class Body:
         True support h(u_i) of the intersection; always <= offsets.
     ridges : Ridges
         The combinatorial type, shared with every body of the same type:
-        scaled, translated and polytope_same_type pass it on.
+        scaled, translated, polytope_same_type and polygon_all_active (from
+        a polygon it built) pass it on.
     """
 
     def __init__(self, dim, normals, offsets, vertices, facet_areas, volume,
@@ -343,9 +387,12 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
     if np.max(dual_hull.equations[:, -1]) > -1e-12 / np.max(shifted):
         raise WulffError("unbounded halfspace intersection (dual origin escapes)")
 
-    vertices, facet_areas, volume, centroid, ridges = (
-        _polygon(normals, shifted, dual_hull.vertices) if dim == 2
-        else _polytope_from_dual(shifted, dual_hull))
+    if dim == 2:
+        ridges = _cycle(normals, dual_hull.vertices)
+        vertices, _, facet_areas, volume, centroid = _polygon(shifted, ridges)
+    else:
+        vertices, facet_areas, volume, centroid, ridges = _polytope_from_dual(
+            shifted, dual_hull)
     if len(vertices) <= dim:
         raise WulffError("degenerate intersection (fewer than %d vertices)"
                          % (dim + 1))
@@ -360,7 +407,7 @@ def wulff_shape(dim, normals, offsets, validate=True, interior_hint=None):
                 validate=validate, ridges=ridges)
 
 
-def polygon_all_active(normals, offsets, interior_hint):
+def polygon_all_active(normals, offsets, interior_hint, like=None):
     """The polygon {<x, u_i> <= h_i} in closed form when every line is active.
 
     Sorted by angle, consecutive lines meet in the vertices and bound the
@@ -369,6 +416,10 @@ def polygon_all_active(normals, offsets, interior_hint):
     equal to the offsets and ridges between lines adjacent in angle. Such
     a polygon satisfies Body's invariants by construction, so they are not
     checked. The normals must be distinct unit vectors of the plane.
+    The angular order depends only on the normals, so when ``like`` is a
+    body this function built on equal normals its ridge record, which
+    keeps that order, is handed on, bit for bit the record a fresh build
+    would make; any other ``like`` is ignored.
     WulffError is raised when an offset is non-finite, when
     ``interior_hint`` is not inside every halfspace by at least 1e-6 max|h|,
     as in wulff_shape, when two normals adjacent in angle are not apart by
@@ -381,17 +432,22 @@ def polygon_all_active(normals, offsets, interior_hint):
         raise WulffError("offsets must be finite")
     center = np.asarray(interior_hint, dtype=float)
     shifted = _shifted_about_hint(normals, offsets, center)
-    angles = np.arctan2(normals[:, 1], normals[:, 0])
-    a = np.argsort(angles)
-    gaps = np.diff(angles[a], append=angles[a[0]] + 2.0 * np.pi)
-    if not np.all((gaps > 0) & (gaps < np.pi)):
-        raise WulffError("normals adjacent in angle must be apart by less "
-                         "than pi and more than 0")
-    vertices, facet_areas, area, centroid, ridges = _polygon(normals, shifted, a)
+    if like is not None and like.ridges.angular and np.array_equal(like.normals, normals):
+        ridges = like.ridges
+    else:
+        angles = np.arctan2(normals[:, 1], normals[:, 0])
+        a = np.argsort(angles)
+        gaps = np.diff(angles[a], append=angles[a[0]] + 2.0 * np.pi)
+        if not np.all((gaps > 0) & (gaps < np.pi)):
+            raise WulffError("normals adjacent in angle must be apart by less "
+                             "than pi and more than 0")
+        ridges = _cycle(normals, a)
+        ridges.angular = True
+    vertices, edges, facet_areas, area, centroid = _polygon(shifted, ridges)
     # the edge on line a[j], from vertex j-1 to vertex j, along the tangent
     # (-u_2, u_1) of a counter-clockwise walk
-    edges = vertices - np.roll(vertices, 1, axis=0)
-    if np.any(edges[:, 1] * normals[a, 0] - edges[:, 0] * normals[a, 1] <= 0):
+    ua0, ua1 = ridges.cycle[2:4]
+    if np.any(edges[:, 1] * ua0 - edges[:, 0] * ua1 <= 0):
         raise WulffError("a constraint is inactive (nonpositive edge)")
     return Body(2, normals, offsets.copy(), vertices + center, facet_areas,
                 float(area), centroid + center, offsets.copy(),
@@ -401,13 +457,13 @@ def polygon_all_active(normals, offsets, interior_hint):
 def _simple_type(body):
     """The combinatorial type of a polytope whose vertices are all simple.
 
-    Returns (planes, cramer, direction, third), kept in its ridge record: the
-    three facets k, l, m of each vertex, the coefficients
+    Returns (planes, cramer, direction, third, beyond), kept in its ridge
+    record: the three facets k, l, m of each vertex, the coefficients
     (u_l x u_m, u_m x u_k, u_k x u_l) / det(u_k, u_l, u_m) that give the
     vertex from their offsets, each ridge's direction u_i x u_j signed
-    along its recorded ends, and the third facet at each end. WulffError
-    is raised when a facet is inactive or a vertex is not on exactly three
-    facets.
+    along its recorded ends, the third facet at each end and its normal.
+    WulffError is raised when a facet is inactive or a vertex is not on
+    exactly three facets.
     """
     if body.ridges.simple_type is None:
         pairs, ends = body.ridges.pairs, body.ridges.ends
@@ -425,7 +481,8 @@ def _simple_type(body):
         edges = body.vertices[ends[:, 1]] - body.vertices[ends[:, 0]]
         direction *= np.sign(np.einsum("ij,ij->i", edges, direction))[:, None]
         third = planes[ends].sum(axis=2) - pairs.sum(axis=1)[:, None]
-        body.ridges.simple_type = planes, cramer, direction, third
+        body.ridges.simple_type = _frozen(planes, cramer, direction, third,
+                                          body.normals[third])
     return body.ridges.simple_type
 
 
@@ -457,19 +514,18 @@ def polytope_same_type(body, offsets, interior_hint):
     offsets = np.asarray(offsets, dtype=float)
     if not np.all(np.isfinite(offsets)):
         raise WulffError("offsets must be finite")
-    planes, cramer, direction, third = _simple_type(body)
-    normals, pairs, ends = body.normals, body.ridges.pairs, body.ridges.ends
+    planes, cramer, direction, third, beyond = _simple_type(body)
+    normals, ends = body.normals, body.ridges.ends
     center = np.asarray(interior_hint, dtype=float)
     shifted = _shifted_about_hint(normals, offsets, center)
     vertices = np.einsum("ikj,ik->ij", cramer, shifted[planes])
     at = vertices[ends]
     # the ridge's far end against the third plane at each of its ends
-    slack = np.einsum("ikj,ikj->ik", at[:, ::-1], normals[third]) - shifted[third]
+    slack = np.einsum("ikj,ikj->ik", at[:, ::-1], beyond) - shifted[third]
     if not (np.all(np.einsum("ij,ij->i", at[:, 1] - at[:, 0], direction) > 0)
             and np.all(slack < 0)):
         raise WulffError("the combinatorial type does not hold at these offsets")
-    facet_areas, volume, centroid = _fan(shifted, vertices, pairs.T.ravel(),
-                                         *np.tile(ends.T, 2))
+    facet_areas, volume, centroid = _fan(shifted, at, body.ridges)
     return Body(3, normals, offsets.copy(), vertices + center, facet_areas, volume,
                 centroid + center, offsets.copy(), body.ridges, validate=False)
 
@@ -505,9 +561,37 @@ def _facet_pattern(body):
         scatter = np.argsort(cols * m + rows)
         indptr = np.zeros(m + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
-        body.ridges.pattern = (facet, *_ridge_angles(body.normals, *pairs.T),
-                               indptr, rows[scatter].astype(np.intc), scatter)
+        body.ridges.pattern = _frozen(facet, *_ridge_angles(body.normals, *pairs.T),
+                                      indptr, rows[scatter].astype(np.intc), scatter)
     return body.ridges.pattern
+
+
+def _band(body):
+    """The n = 2 facet system's band data, kept in ``body``'s ridge record.
+
+    Edge k of the cycle joins a[k] to b[k] = a[k+1]. Taking the cycle as
+    0, m-1, 1, m-2, ... puts it in a band of half-width 2: band slot k
+    holds cycle position perm[k], and pos inverts perm. Returns
+    (1 / sin, -(cot_- + cot_+), nodes, rows, cols): 1 / sin(theta) of each
+    edge, the cot sums of the diagonal in slot order, the facet of each
+    slot, and the entries of gbsv's band layout at which each edge's
+    1 / sin lands, above and below the diagonal.
+    """
+    if body.ridges.band is None:
+        a, b = body.ridges.pairs.T
+        m = len(a)
+        off, cos = _ridge_angles(body.normals, a, b)
+        cot = off * cos
+        perm = np.empty(m, dtype=int)
+        perm[0::2] = np.arange((m + 1) // 2)
+        perm[1::2] = m - 1 - np.arange(m // 2)
+        pos = np.empty(m, dtype=int)
+        pos[perm] = np.arange(m)
+        i, j = pos, np.concatenate([pos[1:], pos[:1]])
+        body.ridges.band = _frozen(off, -(cot[perm] + cot[perm - 1]), a[perm],
+                                   np.concatenate([4 + i - j, 4 + j - i]),
+                                   np.concatenate([j, i]))
+    return body.ridges.band
 
 
 def _facet_matrix(body, diag, coef):
@@ -572,23 +656,11 @@ def solve_facet_system(body, diag, coef, rhs):
             except RuntimeError:
                 X = np.nan  # SuperLU refuses an exactly singular matrix
         else:
-            # edge k of the cycle joins a[k] to b[k] = a[k+1]: 1 / sin and cot
-            a, b = body.ridges.pairs.T
-            m = len(a)
-            off, cos = _ridge_angles(body.normals, a, b)
-            cot = off * cos
-            # band slot k holds cycle position perm[k]; pos inverts it
-            perm = np.empty(m, dtype=int)
-            perm[0::2] = np.arange((m + 1) // 2)
-            perm[1::2] = m - 1 - np.arange(m // 2)
-            pos = np.empty(m, dtype=int)
-            pos[perm] = np.arange(m)
-            nodes = a[perm]
+            off, cots, nodes, rows, cols = _band(body)
             # gbsv's layout: two rows for the LU's fill-in above the band's five
-            band = np.zeros((7, m))
-            band[4] = diag[nodes] + coef * -(cot[perm] + cot[perm - 1])
-            i, j = pos, np.concatenate([pos[1:], pos[:1]])
-            band[4 + i - j, j] = band[4 + j - i, i] = coef * off
+            band = np.zeros((7, len(nodes)))
+            band[4] = diag[nodes] + coef * cots
+            band[rows, cols] = np.tile(coef * off, 2)
             # an inactive facet's row is diag alone
             X = (rhs.T / diag).T
             X[nodes] = np.nan

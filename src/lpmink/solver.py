@@ -138,8 +138,17 @@ def el_residual(body, xi, measure, profile):
 
 
 def _score(body, measure, profile, x0):
-    """(xi, Phi_eps(body, xi), r, lambda_eps) at the optimal center from x0."""
+    """(xi, Phi_eps(body, xi), r, lambda_eps) at the optimal center from x0.
+
+    For a measure with a group, whose body the descent keeps invariant,
+    xi is projected onto the group's fixed subspace: the optimal center is
+    unique, so every element fixes it, while optimal_center stops about
+    1e-10 off that subspace and r would inherit the asymmetry. The energy
+    is optimal_center's, which the projection moves only at second order.
+    """
     xi, energy, _, _ = optimal_center(body, measure, profile, x0=x0)
+    if measure.group is not None:
+        xi = measure.group.mean(axis=0) @ xi
     r, lambda_eps = el_residual(body, xi, measure, profile)
     return xi, energy, r, lambda_eps
 
@@ -174,19 +183,23 @@ def _finish_state(measure, p, s, hint, like=None):
     """Body and F(s) = (1-p) s + log S(e^s) - log mu at log-support s.
 
     The states are the bodies whose every facet is active, where log S is
-    defined. A polygon is built in closed form by polygon_all_active. A
-    polytope is built without a hull by polytope_same_type, with the
-    ridges of ``like``, a body of the previous state's combinatorial type,
-    and by wulff_shape when that type no longer holds or ``like`` is None.
-    Returns None when the build raises WulffError, as for a non-finite
-    h = e^s, a hint outside the body or an inactive facet of a polygon,
-    or when a facet of a polytope is inactive.
+    defined. ``like`` is a body of the previous state's combinatorial
+    type, or None, and every state holds its ridge record where that type
+    still holds. A polygon is built in closed form by polygon_all_active,
+    which hands on the record of ``like`` when polygon_all_active built
+    it, so the angular order and the data that depends only on it are
+    computed once per finish attempt. A polytope is built without a hull
+    by polytope_same_type with the ridges of ``like``, and by wulff_shape
+    when that type no longer holds or ``like`` is None. Returns None when
+    the build raises WulffError, as for a non-finite h = e^s, a hint
+    outside the body or an inactive facet of a polygon, or when a facet
+    of a polytope is inactive.
     """
     h = np.exp(s)
     nodes = measure.grid.nodes
     try:
         if measure.dim == 2:
-            body = polygon_all_active(nodes, h, hint)
+            body = polygon_all_active(nodes, h, hint, like)
         else:
             try:
                 if like is None:
@@ -213,11 +226,12 @@ def newton_finish(measure, p, h, like=None):
     with dS/dh as in ``facet_jacobian``; the step solves the equivalent
     symmetric system B y = -S F, ds = y / h, B = (1-p) diag(S/h) + dS/dh,
     at both n (see _newton_step). ``h`` must be positive, so the origin
-    is the interior hint of the start's Wulff shape. At n = 3
-    _finish_state builds each trial state with the ridges of the accepted
-    one, and the start with those of ``like``, a body of its
-    combinatorial type such as the descent iterate it is rescaled from;
-    a hull is built only where the ridges change. When the start's build
+    is the interior hint of the start's Wulff shape. _finish_state builds
+    each trial state with the ridge record of the accepted one: at n = 2
+    the first polygon of the attempt builds it, and at n = 3 the start
+    takes the ridges of ``like``, a body of its combinatorial type such as
+    the descent iterate it is rescaled from, and a hull is built only
+    where the ridges change. When the start's build
     refuses that hint, or some facet of the shape is inactive, every
     offset first gains FINISH_MARGIN times their mean, which adds a
     circumscribed polytope and makes every facet active. A step is halved

@@ -122,7 +122,7 @@ class DirectionGrid:
         from lpmink.geometry import wulff_shape  # geometry imports this module
         body = wulff_shape(self.dim, self.nodes, np.ones(len(self)),
                            validate=False, interior_hint=np.zeros(self.dim))
-        for a in (*vars(body).values(), *vars(body.ridges).values()):
+        for a in vars(body).values():  # its ridge record's are read-only already
             if isinstance(a, np.ndarray) and a is not self.nodes:
                 a.flags.writeable = False
         return body

@@ -289,6 +289,93 @@ def test_polygon_all_active_errors():
     assert body.facet_areas[4] == pytest.approx(2 * np.sqrt(2) - 2.4, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(8, 256), seed=st.integers(0, 2 ** 32 - 1),
+       decades=st.floats(1.0, 7.0))
+def test_a_handed_on_polygon_record_builds_the_fresh_polygon(N, seed, decades):
+    # circle grid nodes in random order, so that their angular order is not
+    # their index order: a polygon built with the record of one at other
+    # offsets is, bit for bit, the polygon a fresh build makes, and refuses
+    # what it refuses
+    rng = np.random.default_rng(seed)
+    normals = build_grid(2, N).nodes[rng.permutation(N)]
+    origin = np.zeros(2)
+    first = polygon_all_active(normals, np.exp(0.1 * normals @ rng.normal(size=2)), origin)
+    offsets = first.offsets * np.exp(10.0 ** -decades * rng.normal(size=N))
+    try:
+        fresh = polygon_all_active(normals, offsets, origin)
+    except WulffError:
+        with pytest.raises(WulffError):
+            polygon_all_active(normals, offsets, origin, first)
+        return
+    handed = polygon_all_active(normals, offsets, origin, first)
+    assert handed.ridges is first.ridges and fresh.ridges is not first.ridges
+    assert np.array_equal(handed.ridges.pairs, fresh.ridges.pairs)
+    for field in ("vertices", "facet_areas", "volume", "centroid", "support_values"):
+        assert np.array_equal(getattr(handed, field), getattr(fresh, field)), field
+    # the record of a wulff_shape body, or of a polygon on other normals, is
+    # not handed on
+    hull = wulff_shape(2, normals, offsets, validate=False, interior_hint=origin)
+    turned = polygon_all_active(-normals, offsets, origin, first)
+    assert polygon_all_active(normals, offsets, origin, hull).ridges is not hull.ridges
+    assert turned.ridges is not first.ridges
+    assert turned.volume == pytest.approx(fresh.volume, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), grid_size=st.sampled_from([0, 100, 500]),
+       decades=st.floats(2.0, 7.0))
+def test_a_chain_of_same_type_polytopes_is_the_wulff_shape(seed, grid_size, decades):
+    # three polytopes in a row, each built from the last with the ridge
+    # record and the data it keeps: where the Wulff shape at those offsets
+    # has the same ridges, its facet areas, volume and centroid agree
+    body = _all_active_polytope(seed, grid_size)
+    rng = np.random.default_rng((seed, 2))
+    hint = np.zeros(3)
+    for _ in range(3):
+        offsets = body.offsets * np.exp(10.0 ** -decades * rng.normal(size=len(body.offsets)))
+        try:
+            same = polytope_same_type(body, offsets, hint)
+        except WulffError:
+            return
+        ref = wulff_shape(3, body.normals, offsets, interior_hint=hint)
+        assert same.ridges is body.ridges and _ridge_set(ref) == _ridge_set(same)
+        assert np.all(np.abs(same.facet_areas - ref.facet_areas)
+                      <= 1e-12 * ref.facet_areas.max())
+        assert same.volume == pytest.approx(ref.volume, rel=1e-12)
+        size = np.max(np.abs(ref.vertices))
+        assert np.all(np.abs(same.centroid - ref.centroid) <= 1e-12 * size)
+        body = same
+
+
+def _record_arrays(ridges):
+    """Every array a ridge record holds, in its slots or in their tuples."""
+    arrays = []
+    for value in vars(ridges).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                arrays.append(a)
+    return arrays
+
+
+def test_a_ridge_record_is_read_only():
+    # the bodies of a type share every array its record holds: the ridges,
+    # the polygon's cycle, the band and the pattern of its facet systems,
+    # and the polytope's fan data and simple type
+    square = polygon_all_active(SQUARE_NORMALS, np.ones(4), np.zeros(2))
+    cube = wulff_shape(3, CUBE_NORMALS, np.ones(6))
+    polytope_same_type(cube, np.arange(1.0, 7.0), np.zeros(3))
+    for body, count in ((square, 1 + 8 + 5 + 6), (cube, 4 + 5 + 6)):
+        geometry.solve_facet_system(body, np.ones(len(body.normals)), 1.0,
+                                    np.ones(len(body.normals)))
+        facet_jacobian(body)
+        arrays = _record_arrays(body.ridges)
+        assert len(arrays) == count
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+
 def _ridge_set(body):
     return set(map(tuple, np.sort(body.ridges.pairs, axis=1).tolist()))
 

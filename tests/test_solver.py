@@ -126,6 +126,7 @@ def _bordered_direction(body, xi, measure, profile, r, lam):
        inactive=st.booleans(), group=st.booleans())
 @example(n=2, seed=0, p=-1.0, eps=0.1, inactive=True, group=True)
 @example(n=3, seed=1, p=0.5, eps=0.1, inactive=True, group=True)
+@example(n=3, seed=1056436, p=0.5, eps=0.1, inactive=True, group=True)
 def test_preconditioned_step_solves_the_bordered_system(n, seed, p, eps,
                                                         inactive, group):
     # the Woodbury and bordering solve against a dense solve of
@@ -920,6 +921,35 @@ def test_newton_finish_builds_no_hull_in_the_plane(grid2, monkeypatch):
     body, steps = newton_finish(mu, -1.0, np.ones(len(grid2)))
     assert 1 <= steps <= 10
     assert verify(body, mu, -1.0)[0] <= FINISH_TOL
+
+
+@pytest.mark.parametrize("start", ["unit", "descent"])
+def test_an_n2_finish_attempt_builds_one_ridge_record(grid2, monkeypatch, start):
+    # every state of an attempt is a polygon on the grid's nodes with every
+    # facet active, in their angular order: the first state's ridge record,
+    # with the data computed from that order, serves every later state,
+    # accepted or not. A start body built by wulff_shape, as the descent's
+    # iterate is, keeps its own record: its cycle need not start where the
+    # angular order does
+    poly = random_polygon(np.random.default_rng((0, 1)))
+    mu = smooth_discrete(poly.normals, lp_surface_area_measure(poly, -1.0), grid2, m=32)
+    h = np.ones(len(grid2)) if start == "unit" else 1.0 + 0.1 * grid2.nodes[:, 1]
+    like = None if start == "unit" else wulff_shape(2, grid2.nodes, h)
+    states = []
+    build = solver._finish_state
+
+    def recording(*args):
+        state = build(*args)
+        if state is not None:
+            states.append(state[0])
+        return state
+
+    monkeypatch.setattr(solver, "_finish_state", recording)
+    body, steps = newton_finish(mu, -1.0, h, like)
+    assert steps >= 3 and len(states) >= steps + 1
+    assert all(state.ridges is body.ridges for state in states)
+    assert body.ridges.angular and body.ridges.band is not None
+    assert like is None or like.ridges is not body.ridges
 
 
 def _finish_states():
